@@ -27,12 +27,15 @@ from .linalg import (
     det,
     inverse,
     is_vzero,
+    rref_nullspace,
+    solve_commutant,
+    unvec,
     vadd,
     vdot,
     vscale,
     vzero,
 )
-from .report import VerificationReport
+from .report import VerificationReport, first_nonzero
 from .scalar import HomLieError, Scalar, ZERO, render_scalar, sc
 
 
@@ -60,6 +63,8 @@ class LieAxiomError(HomLieError):
 
 
 def _coerce_constants(dim, c):
+    if len(c) != dim or any(len(row) != dim for row in c):
+        raise ShapeMismatch("structure constant array does not match dim")
     rows = []
     for i in range(dim):
         row = []
@@ -71,19 +76,7 @@ def _coerce_constants(dim, c):
                 )
             row.append(v)
         rows.append(tuple(row))
-    if len(rows) != dim:
-        raise ShapeMismatch("structure constant array does not match dim")
     return tuple(rows)
-
-
-def _nonzero_pairs(dim, c):
-    pairs = []
-    for i in range(dim):
-        for j in range(dim):
-            entries = tuple((k, x) for k, x in enumerate(c[i][j]) if not x.is_zero())
-            if entries:
-                pairs.append((i, j, entries))
-    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -144,13 +137,14 @@ class HomLieAlgebraData:
         return self.basis_names.index(name)
 
 
-def lie_algebra(names, brackets) -> LieAlgebraData:
-    """Build a Lie algebra from sparse bracket data with skew completion.
+def skew_constants(names, brackets):
+    """Dense structure constants from sparse bracket data, skew-completed.
 
     ``brackets`` maps a pair of basis names (or indices) to the value of
     their bracket, given as a dict ``{name_or_index: coefficient}`` or a
     full coordinate sequence.  The reversed pair is filled in with the
-    opposite sign; unspecified pairs are zero.
+    opposite sign; unspecified pairs are zero.  No axiom is checked
+    beyond ruling out a nonzero self-bracket.
     """
     names = tuple(names)
     dim = len(names)
@@ -167,20 +161,27 @@ def lie_algebra(names, brackets) -> LieAlgebraData:
             return tuple(v)
         return tuple(sc(x) for x in val)
 
-    c = [[vzero(dim) for _ in range(dim)] for _ in range(dim)]
+    c = [[vzero(dim)] * dim for _ in range(dim)]
     for (a, b), val in brackets.items():
         i, j = to_index(a), to_index(b)
         v = to_vector(val)
+        if i == j and not is_vzero(v):
+            raise LieAxiomError(_failed_report("bracket_skew", {"pair": [names[i]] * 2}))
         c[i][j] = v
         c[j][i] = tuple(-x for x in v)
-        if i == j and not is_vzero(v):
-            raise LieAxiomError(_self_bracket_report(names[i]))
-    return LieAlgebraData(dim, names, tuple(tuple(row) for row in c))
+    return tuple(tuple(row) for row in c)
 
 
-def _self_bracket_report(name):
+def lie_algebra(names, brackets) -> LieAlgebraData:
+    """Build a Lie algebra from sparse bracket data (see
+    :func:`skew_constants`); the axioms are validated on construction."""
+    names = tuple(names)
+    return LieAlgebraData(len(names), names, skew_constants(names, brackets))
+
+
+def _failed_report(name, witness=None):
     rep = VerificationReport()
-    rep.add("bracket_skew", False, witness={"pair": [name, name]})
+    rep.add(name, False, witness)
     return rep
 
 
@@ -213,109 +214,93 @@ def _basis_vector(dim, i):
     return tuple(v)
 
 
-def verify_lie_structure(dim, c, names=None) -> VerificationReport:
-    """Skew-symmetry and Jacobi for raw structure constants."""
-    names = tuple(names) if names else tuple(str(i) for i in range(dim))
-    report = VerificationReport()
-    ok = True
-    witness = None
-    residual = None
+def _sparse(v):
+    return tuple((k, x) for k, x in enumerate(v) if not x.is_zero())
+
+
+def _skew_cases(c, names):
+    dim = len(c)
     for i in range(dim):
         for j in range(i, dim):
-            bad = [x + y for x, y in zip(c[i][j], c[j][i])]
-            if any(not x.is_zero() for x in bad):
-                ok, witness = False, {"pair": [names[i], names[j]]}
-                residual = [render_scalar(x) for x in bad]
-                break
-        if not ok:
-            break
-    report.add("bracket_skew", ok, witness, residual)
+            yield {"pair": [names[i], names[j]]}, [x + y for x, y in zip(c[i][j], c[j][i])]
 
-    ok, witness, residual = True, None, None
+
+def _twisted_ad(table, alpha: Matrix):
+    """``ad[a][m]``: the sparse vector [alpha(e_a), e_m], from the sparse
+    structure constants ``table``."""
+    dim = len(table)
+    ad = []
+    for a in range(dim):
+        col = _sparse(alpha.column(a))
+        row = []
+        for m in range(dim):
+            acc = [ZERO] * dim
+            for p, w in col:
+                for l, x in table[p][m]:
+                    acc[l] = acc[l] + w * x
+            row.append(_sparse(acc))
+        ad.append(row)
+    return ad
+
+
+def _jacobi_cases(table, ad, names):
+    """Cyclic sums of [alpha(a), [b, t]] over index triples i < j < k.
+
+    ``table`` holds the sparse structure constants and ``ad`` the sparse
+    vectors [alpha(e_a), e_m] (``table`` itself for the identity twist),
+    so only nonzero constants are contracted.  The sum is trilinear and,
+    once skew-symmetry holds, vanishes whenever two arguments coincide,
+    so distinct unordered triples decide the identity.
+    """
+    dim = len(table)
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
                 acc = [ZERO] * dim
-                for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = c[a][b]
-                    for m, coeff in enumerate(inner):
-                        if coeff.is_zero():
-                            continue
-                        for l, x in enumerate(c[m][t]):
-                            if not x.is_zero():
-                                acc[l] = acc[l] + coeff * x
-                if any(not x.is_zero() for x in acc):
-                    ok = False
-                    witness = {"triple": [names[i], names[j], names[k]]}
-                    residual = [render_scalar(x) for x in acc]
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("jacobi", ok, witness, residual)
+                for a, b, t in ((i, j, k), (j, k, i), (k, i, j)):
+                    outer = ad[a]
+                    for m, y in table[b][t]:
+                        for l, x in outer[m]:
+                            acc[l] = acc[l] + y * x
+                yield {"triple": [names[i], names[j], names[k]]}, acc
+
+
+def _morphism_cases(L1, L2, phi: Matrix):
+    names = L1.basis_names
+    cols = [phi.column(i) for i in range(L1.dim)]
+    for i in range(L1.dim):
+        for j in range(i + 1, L1.dim):
+            lhs = phi.apply(L1.bracket_basis(i, j))
+            rhs = bracket_apply(L2, cols[i], cols[j])
+            yield {"pair": [names[i], names[j]]}, [x - y for x, y in zip(lhs, rhs)]
+
+
+def verify_lie_structure(dim, c, names=None) -> VerificationReport:
+    """Skew-symmetry and Jacobi for raw structure constants: the sweeps of
+    :func:`verify_hom_lie` with the identity twist.  The ``jacobi``
+    residual is the cyclic sum of [[a, b], t], which is minus the twisted
+    sum of [a, [b, t]] whenever skew-symmetry holds."""
+    names = tuple(names) if names else tuple(str(i) for i in range(dim))
+    report = VerificationReport()
+    report.sweep("bracket_skew", _skew_cases(c, names))
+    table = [[_sparse(v) for v in row] for row in c]
+    hit = first_nonzero(_jacobi_cases(table, table, names))
+    if hit is not None:  # report the sum of [[a, b], t]
+        hit = hit[0], [-x for x in hit[1]]
+    report.add_found("jacobi", hit)
     return report
 
 
 def verify_hom_lie(H: HomLieAlgebraData, check_multiplicative: bool = True) -> VerificationReport:
-    """Skew-symmetry, twisted Jacobi, and (optionally) multiplicativity.
-
-    The twisted Jacobi sweep runs over index triples i < j < k: the
-    cyclic sum is trilinear and, once skew-symmetry holds, vanishes
-    whenever two arguments coincide, so distinct unordered triples
-    decide the identity.
-    """
+    """Skew-symmetry, twisted Jacobi, and (optionally) multiplicativity,
+    which is the bracket sweep of :func:`verify_lie_morphism` of the twist."""
     names = H.basis_names
-    dim = H.dim
     report = VerificationReport()
-
-    ok, witness, residual = True, None, None
-    for i in range(dim):
-        for j in range(i, dim):
-            bad = [x + y for x, y in zip(H.c_alpha[i][j], H.c_alpha[j][i])]
-            if any(not x.is_zero() for x in bad):
-                ok, witness = False, {"pair": [names[i], names[j]]}
-                residual = [render_scalar(x) for x in bad]
-                break
-        if not ok:
-            break
-    report.add("bracket_skew", ok, witness, residual)
-
-    alpha_cols = [H.alpha.column(i) for i in range(dim)]
-    ok, witness, residual = True, None, None
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc = [ZERO] * dim
-                for (a, b, t) in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = bracket_apply(H, alpha_cols[a], H.c_alpha[b][t])
-                    acc = [p + q for p, q in zip(acc, term)]
-                if any(not x.is_zero() for x in acc):
-                    ok = False
-                    witness = {"triple": [names[i], names[j], names[k]]}
-                    residual = [render_scalar(x) for x in acc]
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("twisted_jacobi", ok, witness, residual)
-
+    report.sweep("bracket_skew", _skew_cases(H.c_alpha, names))
+    table = [[_sparse(v) for v in row] for row in H.c_alpha]
+    report.sweep("twisted_jacobi", _jacobi_cases(table, _twisted_ad(table, H.alpha), names))
     if check_multiplicative:
-        ok, witness, residual = True, None, None
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                lhs = H.alpha.apply(H.c_alpha[i][j])
-                rhs = bracket_apply(H, alpha_cols[i], alpha_cols[j])
-                bad = [x - y for x, y in zip(lhs, rhs)]
-                if any(not x.is_zero() for x in bad):
-                    ok, witness = False, {"pair": [names[i], names[j]]}
-                    residual = [render_scalar(x) for x in bad]
-                    break
-            if not ok:
-                break
-        report.add("twist_is_bracket_morphism", ok, witness, residual)
-
+        report.sweep("twist_is_bracket_morphism", _morphism_cases(H, H, H.alpha))
     return report
 
 
@@ -324,23 +309,8 @@ def verify_lie_morphism(L1, L2, phi: Matrix, weak: bool = False) -> Verification
     also compatibility with the twists (identity for plain Lie data)."""
     if phi.cols != L1.dim or phi.rows != L2.dim:
         raise ShapeMismatch("morphism matrix shape does not match the algebras")
-    names = L1.basis_names
     report = VerificationReport()
-    cols = [phi.column(i) for i in range(L1.dim)]
-
-    ok, witness, residual = True, None, None
-    for i in range(L1.dim):
-        for j in range(i + 1, L1.dim):
-            lhs = phi.apply(L1.bracket_basis(i, j))
-            rhs = bracket_apply(L2, cols[i], cols[j])
-            bad = [x - y for x, y in zip(lhs, rhs)]
-            if any(not x.is_zero() for x in bad):
-                ok, witness = False, {"pair": [names[i], names[j]]}
-                residual = [render_scalar(x) for x in bad]
-                break
-        if not ok:
-            break
-    report.add("bracket_compatibility", ok, witness, residual)
+    report.sweep("bracket_compatibility", _morphism_cases(L1, L2, phi))
 
     if not weak:
         a1 = getattr(L1, "alpha", None)
@@ -349,15 +319,8 @@ def verify_lie_morphism(L1, L2, phi: Matrix, weak: bool = False) -> Verification
             a1 = Matrix.identity(L1.dim)
         if a2 is None:
             a2 = Matrix.identity(L2.dim)
-        lhs = phi @ a1
-        rhs = a2 @ phi
-        bad = lhs - rhs
-        report.add(
-            "twist_compatibility",
-            bad.is_zero(),
-            None if bad.is_zero() else {"matrix": "phi . twist1 - twist2 . phi"},
-            None if bad.is_zero() else repr(bad),
-        )
+        witness = {"matrix": "phi . twist1 - twist2 . phi"}
+        report.sweep("twist_compatibility", [(witness, phi @ a1 - a2 @ phi)])
     return report
 
 
@@ -421,7 +384,7 @@ def killing_form(Lalg: LieAlgebraData) -> KillingForm:
             entries.append((ads[i] @ ads[j]).trace())
     gram = Matrix(dim, dim, tuple(entries))
     if gram != gram.transpose():
-        raise LieAxiomError(_invariance_report("killing_symmetry"))
+        raise LieAxiomError(_failed_report("killing_symmetry"))
     K = KillingForm(gram)
     for i in range(dim):
         for j in range(dim):
@@ -429,14 +392,8 @@ def killing_form(Lalg: LieAlgebraData) -> KillingForm:
                 lhs = K.pairing(Lalg.c[i][j], _basis_vector(dim, k))
                 rhs = K.pairing(_basis_vector(dim, i), Lalg.c[j][k])
                 if lhs != rhs:
-                    raise LieAxiomError(_invariance_report("killing_invariance"))
+                    raise LieAxiomError(_failed_report("killing_invariance"))
     return K
-
-
-def _invariance_report(name):
-    rep = VerificationReport()
-    rep.add(name, False)
-    return rep
 
 
 def is_semisimple(Lalg: LieAlgebraData) -> bool:
@@ -463,20 +420,12 @@ def ideal_closure(A, seed: Subspace) -> IdealWitness:
         raise ShapeMismatch("seed does not live in the algebra")
     alpha = getattr(A, "alpha", None)
     basis_vecs = [_basis_vector(A.dim, j) for j in range(A.dim)]
-    current = seed
-    while True:
-        vecs = list(current.basis)
-        for v in current.basis:
-            for e in basis_vecs:
-                vecs.append(bracket_apply(A, v, e))
-            if alpha is not None:
-                vecs.append(alpha.apply(v))
-        grown = Subspace(A.dim, vecs)
-        if grown.dim == current.dim:
-            current = grown
-            break
-        current = grown
 
+    def images(v):
+        brackets = [bracket_apply(A, v, e) for e in basis_vecs]
+        return brackets if alpha is None else brackets + [alpha.apply(v)]
+
+    current = seed.closure(images)
     closed_bracket = all(
         current.contains_vector(bracket_apply(A, v, e))
         for v in current.basis
@@ -523,18 +472,13 @@ def cyclic_sum_construction(g1: LieAlgebraData, sigma: Matrix, n: int) -> Cyclic
     d = g1.dim
     dim = n * d
     names = tuple(f"{name}{k}" for k in range(n) for name in g1.basis_names)
-    c = [[vzero(dim) for _ in range(dim)] for _ in range(dim)]
-    for k in range(n):
-        for a in range(d):
-            for b in range(d):
-                src = g1.c[a][b]
-                if is_vzero(src):
-                    continue
-                v = [ZERO] * dim
-                for m, x in enumerate(src):
-                    v[k * d + m] = x
-                c[k * d + a][k * d + b] = tuple(v)
-    algebra = LieAlgebraData(dim, names, tuple(tuple(row) for row in c))
+    brackets = {
+        (k * d + a, k * d + b): {k * d + m: x for m, x in enumerate(g1.c[a][b])}
+        for k in range(n)
+        for a in range(d)
+        for b in range(a + 1, d)
+    }
+    algebra = lie_algebra(names, brackets)
 
     entries = [[ZERO] * dim for _ in range(dim)]
     for k in range(n - 1):
@@ -627,17 +571,13 @@ def _proper_ideal(Lalg: LieAlgebraData, rng: random.Random, trials: int) -> Subs
     # Fallback: matrices commuting with the whole adjoint action.  Any
     # eigenspace of such a matrix is an ideal; a non-scalar element with a
     # rational eigenvalue therefore splits the algebra.
-    from .linalg import solve_commutant, unvec
-
     ads = [ad_matrix(Lalg, _basis_vector(dim, i)) for i in range(dim)]
     com = solve_commutant([(m, m) for m in ads])
     eye = Matrix.identity(dim)
     for row in com.basis:
         T = unvec(row, dim, dim)
-        for value in _rational_eigenvalue_candidates(T):
+        for value in rational_eigenvalues(T):
             shifted = T - eye.scale(value)
-            from .linalg import rref_nullspace
-
             _, eig = rref_nullspace(shifted)
             if 0 < eig.dim < dim:
                 return eig
@@ -648,7 +588,7 @@ def _divisors(m: int):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _rational_eigenvalue_candidates(T: Matrix):
+def rational_eigenvalues(T: Matrix):
     """Exact rational eigenvalues of a matrix with constant entries.
 
     Characteristic polynomial by the Faddeev-LeVerrier recursion, then

@@ -316,23 +316,25 @@ def _cmd_cyclic(args, doc):
     return report, outputs
 
 
+def _module_from(doc, rdef, adef):
+    """The classical module, or the Hom-module when the rep has a beta row."""
+    rho = rep_matrices(adef, rdef)
+    if rdef.beta is None:
+        return LieRep(to_lie_algebra(adef), rdef.dim, rho)  # raises AxiomFailure
+    return HomRep(_hom_algebra_from(doc, adef), rdef.dim, rho, rdef.beta)
+
+
 def _cmd_rep_verify(args, doc):
     rdef = doc.rep(args.rep)
     adef = doc.algebra(rdef.algebra)
-    rho = rep_matrices(adef, rdef)
+    R = _module_from(doc, rdef, adef)
     report = VerificationReport()
     if rdef.beta is None:
-        A = to_lie_algebra(adef)
-        LieRep(A, rdef.dim, rho)  # raises AxiomFailure on violation
         report.add("bracket_action", True, witness={"rep": rdef.name})
-        kind = "classical"
     else:
-        H = _hom_algebra_from(doc, adef)
-        R = HomRep(H, rdef.dim, rho, rdef.beta)
         report.merge(verify_hom_rep(R))
-        kind = "hom"
     outputs = {"rep": rdef.name, "algebra": adef.name, "dim_V": rdef.dim,
-               "kind": kind}
+               "kind": "classical" if rdef.beta is None else "hom"}
     return report, outputs
 
 
@@ -491,13 +493,8 @@ def _cmd_sl2_solve(args, doc):
 def _cmd_weights(args, doc):
     rdef = doc.rep(args.rep)
     adef = doc.algebra(rdef.algebra)
-    rho = rep_matrices(adef, rdef)
-    if rdef.beta is None:
-        algebra = to_lie_algebra(adef)
-        R = LieRep(algebra, rdef.dim, rho)
-    else:
-        algebra = _hom_algebra_from(doc, adef)
-        R = HomRep(algebra, rdef.dim, rho, rdef.beta)
+    R = _module_from(doc, rdef, adef)
+    algebra = R.algebra
     index = {name: k for k, name in enumerate(adef.basis)}
     vectors = []
     for name in args.cartan.split(","):

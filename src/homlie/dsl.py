@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .algebra import lie_algebra, skew_constants
 from .linalg import Matrix
 from .scalar import (
     HomLieError,
@@ -49,6 +50,7 @@ from .scalar import (
     parse_scalar_tokens,
     render_scalar,
     sc,
+    tokenize,
 )
 
 RESERVED = frozenset(
@@ -151,73 +153,6 @@ class Document:
     @property
     def families(self):
         return [item for item in self.items if isinstance(item, FamilyDef)]
-
-
-# ---------------------------------------------------------------------------
-# tokenizer
-# ---------------------------------------------------------------------------
-
-_PUNCT = "{}[],;=:"
-
-
-def _tokenize(text: str):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = (line, col)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(("L", "L", pos) if word == "L" else ("ident", word, pos))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), pos))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two == "->" or two == "=>":
-            toks.append(("arrow", two, pos))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*/^":
-            toks.append(("op", ch, pos))
-        elif ch == "(":
-            toks.append(("lparen", ch, pos))
-        elif ch == ")":
-            toks.append(("rparen", ch, pos))
-        elif ch in _PUNCT:
-            toks.append(("punct", ch, pos))
-        else:
-            raise ParseError(line, col, ("a token",), ch)
-        i += 1
-        col += 1
-    toks.append(("end", "", (line, col)))
-    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +487,13 @@ class _Parser:
 
 
 def parse(source: str) -> Document:
-    return _Parser(_tokenize(source)).document()
+    try:
+        toks = tokenize(source, grammar=True)
+    except ScalarSyntaxError as err:
+        line, col = err.pos
+        bad = source.split("\n")[line - 1][col - 1]
+        raise ParseError(line, col, ("a token",), bad) from None
+    return _Parser(toks).document()
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +502,7 @@ def parse(source: str) -> Document:
 
 def to_lie_algebra(adef: AlgebraDef):
     """Structure constants with skew completion; validates the axioms."""
-    from .algebra import lie_algebra
-
     return lie_algebra(adef.basis, adef.brackets)
-
-
-def _coeff_vector(coeffs: dict, basis):
-    return tuple(coeffs.get(b, sc(0)) for b in basis)
 
 
 def bracket_constants(adef: AlgebraDef):
@@ -577,21 +512,13 @@ def bracket_constants(adef: AlgebraDef):
     pair a table with a twist map need the raw constants; use
     to_lie_algebra() when the classical axioms are actually required.
     """
-    index = {b: k for k, b in enumerate(adef.basis)}
-    dim = len(adef.basis)
-    zero = tuple(sc(0) for _ in range(dim))
-    c = [[zero] * dim for _ in range(dim)]
-    for (left, right), coeffs in adef.brackets.items():
-        v = _coeff_vector(coeffs, adef.basis)
-        c[index[left]][index[right]] = v
-        c[index[right]][index[left]] = tuple(-x for x in v)
-    return tuple(tuple(row) for row in c)
+    return skew_constants(adef.basis, adef.brackets)
 
 
 def morphism_matrix(adef: AlgebraDef, mdef: MorphismDef) -> Matrix:
     if mdef.algebra != adef.name:
         raise ResolutionError("morphism belongs to a different algebra", mdef.name)
-    columns = [_coeff_vector(mdef.images[b], adef.basis) for b in adef.basis]
+    columns = [tuple(mdef.images[b].get(x, sc(0)) for x in adef.basis) for b in adef.basis]
     return Matrix.from_columns(columns)
 
 

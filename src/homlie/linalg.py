@@ -213,21 +213,6 @@ class Matrix:
         return out
 
 
-def mat_arith(A: Matrix, B: Matrix | None, op: str, c: Scalar | None = None) -> Matrix:
-    """Single-entry dispatch: op in {add, sub, mul, scale}; scale uses c."""
-    if op == "add":
-        return A + B
-    if op == "sub":
-        return A - B
-    if op == "mul":
-        return A @ B
-    if op == "scale":
-        if c is None:
-            raise ValueError("scale needs the scalar c")
-        return A.scale(c)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # echelon forms
 # ---------------------------------------------------------------------------
@@ -488,6 +473,19 @@ class Subspace:
             raise ShapeMismatch("map does not act on this ambient space")
         return Subspace(A.rows, [A.apply(v) for v in self.basis])
 
+    def closure(self, images) -> "Subspace":
+        """Smallest subspace containing this one that holds ``images(v)``
+        (a list of vectors) for each of its members v."""
+        current = self
+        while True:
+            vecs = list(current.basis)
+            for v in current.basis:
+                vecs.extend(images(v))
+            grown = Subspace(self.ambient_dim, vecs)
+            if grown.dim == current.dim:
+                return grown
+            current = grown
+
 
 def vzero(n: int) -> tuple:
     return (ZERO,) * n
@@ -495,10 +493,6 @@ def vzero(n: int) -> tuple:
 
 def vadd(u, v) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c, v) -> tuple:

@@ -18,6 +18,7 @@ for compatibility maps and the tensor construction over cyclic sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .algebra import (
     CyclicSum,
@@ -39,8 +40,8 @@ from .linalg import (
     solve_commutant,
     unvec,
 )
-from .report import VerificationReport
-from .scalar import HomLieError, ZERO, render_scalar, sc
+from .report import VerificationReport, first_nonzero
+from .scalar import HomLieError, ZERO, sc
 
 
 class AxiomFailure(HomLieError):
@@ -70,8 +71,23 @@ def _apply_rho(rho, vector) -> Matrix:
     return out
 
 
-def _render_matrix(M: Matrix):
-    return [[render_scalar(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
+def _actions(rho, algebra, dim_V) -> tuple:
+    """The action matrices as a tuple, once their number and shape check out."""
+    rho = tuple(rho)
+    if len(rho) != algebra.dim:
+        raise ShapeMismatch("one action matrix per algebra basis element")
+    if any(m.rows != dim_V or m.cols != dim_V for m in rho):
+        raise ShapeMismatch("action matrices must be square of size dim_V")
+    return rho
+
+
+def _not_intertwined(rho, twist: Matrix, beta: Matrix, names):
+    """The first basis element x that breaks
+    beta . action(x) = action(twist x) . beta, or None."""
+    for i, name in enumerate(names):
+        if beta @ rho[i] != _apply_rho(rho, twist.column(i)) @ beta:
+            return name
+    return None
 
 
 @dataclass(frozen=True)
@@ -86,13 +102,8 @@ class LieRep:
     rho: tuple
 
     def __post_init__(self):
-        rho = tuple(self.rho)
+        rho = _actions(self.rho, self.algebra, self.dim_V)
         object.__setattr__(self, "rho", rho)
-        if len(rho) != self.algebra.dim:
-            raise ShapeMismatch("one action matrix per algebra basis element")
-        for m in rho:
-            if m.rows != self.dim_V or m.cols != self.dim_V:
-                raise ShapeMismatch("action matrices must be square of size dim_V")
         names = self.algebra.basis_names
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
@@ -115,109 +126,67 @@ class HomRep:
     beta: Matrix
 
     def __post_init__(self):
-        rho_beta = tuple(self.rho_beta)
-        object.__setattr__(self, "rho_beta", rho_beta)
-        if len(rho_beta) != self.algebra.dim:
-            raise ShapeMismatch("one action matrix per algebra basis element")
-        for m in rho_beta:
-            if m.rows != self.dim_V or m.cols != self.dim_V:
-                raise ShapeMismatch("action matrices must be square of size dim_V")
+        object.__setattr__(self, "rho_beta", _actions(self.rho_beta, self.algebra, self.dim_V))
         if self.beta.rows != self.dim_V or self.beta.cols != self.dim_V:
             raise ShapeMismatch("beta must be square of size dim_V")
 
 
 def verify_hom_rep(R: HomRep) -> VerificationReport:
     """Both module conditions on every basis element/pair, plus the
-    twist-power identities (exponents up to 3) when beta is invertible."""
+    twist-power identities (exponents up to 3) when beta is invertible.
+
+    The module conditions are the power identities at their lowest
+    exponents, so each is swept once and reported under both names."""
     H = R.algebra
     names = H.basis_names
     dim = H.dim
-    beta = R.beta
-    report = VerificationReport()
+    rho = R.rho_beta
+    apow = [Matrix.identity(dim), H.alpha]
+    bpow = [Matrix.identity(R.dim_V), R.beta]
 
-    alpha_cols = [H.alpha.column(i) for i in range(dim)]
-
-    ok, witness, residual = True, None, None
-    for i in range(dim):
-        lhs = _apply_rho(R.rho_beta, alpha_cols[i]) @ beta
-        rhs = beta @ R.rho_beta[i]
-        bad = lhs - rhs
-        if not bad.is_zero():
-            ok, witness, residual = False, {"element": names[i]}, _render_matrix(bad)
-            break
-    report.add("twist_compatibility", ok, witness, residual)
-
-    ok, witness, residual = True, None, None
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lhs = _apply_rho(R.rho_beta, H.c_alpha[i][j]) @ beta
-            rhs = (
-                _apply_rho(R.rho_beta, alpha_cols[i]) @ R.rho_beta[j]
-                - _apply_rho(R.rho_beta, alpha_cols[j]) @ R.rho_beta[i]
-            )
-            bad = lhs - rhs
-            if not bad.is_zero():
-                ok = False
-                witness, residual = {"pair": [names[i], names[j]]}, _render_matrix(bad)
-                break
-        if not ok:
-            break
-    report.add("bracket_compatibility", ok, witness, residual)
-
-    if det(beta).is_zero():
-        return report
-
-    apow = [Matrix.identity(dim)]
-    bpow = [Matrix.identity(R.dim_V)]
-    for _ in range(4):
-        apow.append(H.alpha @ apow[-1])
-        bpow.append(beta @ bpow[-1])
-
-    for n in (1, 2, 3):
-        ok, witness, residual = True, None, None
+    def twist_cases(n):
         for i in range(dim):
-            lhs = _apply_rho(R.rho_beta, apow[n].column(i)) @ bpow[n]
-            rhs = bpow[n] @ R.rho_beta[i]
-            bad = lhs - rhs
-            if not bad.is_zero():
-                ok, witness = False, {"element": names[i], "n": n}
-                residual = _render_matrix(bad)
-                break
-        report.add(f"twist_power_{n}", ok, witness, residual)
+            lhs = _apply_rho(rho, apow[n].column(i)) @ bpow[n]
+            yield {"element": names[i]}, lhs - bpow[n] @ rho[i]
 
-    for n in (0, 1, 2):
-        ok, witness, residual = True, None, None
+    def bracket_cases(n):
         for i in range(dim):
             for j in range(i + 1, dim):
-                lhs = _apply_rho(R.rho_beta, apow[n].apply(H.c_alpha[i][j])) @ beta
+                lhs = _apply_rho(rho, apow[n].apply(H.c_alpha[i][j])) @ R.beta
                 rhs = (
-                    _apply_rho(R.rho_beta, apow[n + 1].column(i))
-                    @ _apply_rho(R.rho_beta, apow[n].column(j))
-                    - _apply_rho(R.rho_beta, apow[n + 1].column(j))
-                    @ _apply_rho(R.rho_beta, apow[n].column(i))
+                    _apply_rho(rho, apow[n + 1].column(i))
+                    @ _apply_rho(rho, apow[n].column(j))
+                    - _apply_rho(rho, apow[n + 1].column(j))
+                    @ _apply_rho(rho, apow[n].column(i))
                 )
-                bad = lhs - rhs
-                if not bad.is_zero():
-                    ok, witness = False, {"pair": [names[i], names[j]], "n": n}
-                    residual = _render_matrix(bad)
-                    break
-            if not ok:
-                break
-        report.add(f"bracket_power_{n}", ok, witness, residual)
+                yield {"pair": [names[i], names[j]]}, lhs - rhs
 
+    report = VerificationReport()
+    twist = first_nonzero(twist_cases(1))
+    report.add_found("twist_compatibility", twist)
+    bracket = first_nonzero(bracket_cases(0))
+    report.add_found("bracket_compatibility", bracket)
+
+    if det(R.beta).is_zero():
+        return report
+
+    for _ in range(2):
+        apow.append(H.alpha @ apow[-1])
+        bpow.append(R.beta @ bpow[-1])
+
+    report.add_found("twist_power_1", twist, n=1)
+    for n in (2, 3):
+        report.sweep(f"twist_power_{n}", twist_cases(n), n=n)
+    report.add_found("bracket_power_0", bracket, n=0)
+    for n in (1, 2):
+        report.sweep(f"bracket_power_{n}", bracket_cases(n), n=n)
     return report
 
 
 def conjugacy_relation(S: Matrix, beta: Matrix, delta: Matrix) -> VerificationReport:
     """Single-check report for the relation S . beta = delta . S."""
     report = VerificationReport()
-    bad = S @ beta - delta @ S
-    report.add(
-        "conjugacy_relation",
-        bad.is_zero(),
-        None if bad.is_zero() else {"relation": "S.beta - delta.S"},
-        None if bad.is_zero() else _render_matrix(bad),
-    )
+    report.sweep("conjugacy_relation", [({"relation": "S.beta - delta.S"}, S @ beta - delta @ S)])
     return report
 
 
@@ -237,15 +206,12 @@ def lie_rep_from_hom(R: HomRep) -> LieRep:
 def hom_rep_from_lie(R: LieRep, alpha: Matrix, beta: Matrix) -> HomRep:
     """Twist a classical module: new action = beta . old action, over the
     twisted algebra.  beta must intertwine the action with alpha."""
-    names = R.algebra.basis_names
-    for i in range(R.algebra.dim):
-        lhs = beta @ R.rho[i]
-        rhs = _apply_rho(R.rho, alpha.column(i)) @ beta
-        if lhs != rhs:
-            raise CompatibilityFailure(
-                "beta does not intertwine the action with the twist",
-                witness={"element": names[i]},
-            )
+    bad = _not_intertwined(R.rho, alpha, beta, R.algebra.basis_names)
+    if bad is not None:
+        raise CompatibilityFailure(
+            "beta does not intertwine the action with the twist",
+            witness={"element": bad},
+        )
     H = yau_twist(R.algebra, alpha)
     rho_beta = tuple(beta @ m for m in R.rho)
     return HomRep(H, R.dim_V, rho_beta, beta)
@@ -311,14 +277,12 @@ def tensor_hom_rep(reps, betas, construction: CyclicSum) -> HomRep:
             raise ShapeMismatch(f"stage map {k} does not match its module")
         if det(beta_k).is_zero():
             raise Singular(f"stage map {k} is not invertible")
-        for i in range(g1.dim):
-            lhs = beta_k @ rep.rho[i]
-            rhs = _apply_rho(rep.rho, sigma.column(i)) @ beta_k
-            if lhs != rhs:
-                raise CompatibilityFailure(
-                    "stage map does not intertwine its module with sigma",
-                    witness={"stage": k, "element": g1.basis_names[i]},
-                )
+        bad = _not_intertwined(rep.rho, sigma, beta_k, g1.basis_names)
+        if bad is not None:
+            raise CompatibilityFailure(
+                "stage map does not intertwine its module with sigma",
+                witness={"stage": k, "element": bad},
+            )
 
     dims = [rep.dim_V for rep in reps]
     slot_actions = []  # slot_actions[k][i]: stage-k action of basis element i
@@ -328,22 +292,11 @@ def tensor_hom_rep(reps, betas, construction: CyclicSum) -> HomRep:
         slot_actions.append([bk @ rep.rho[i] @ bk_inv for i in range(g1.dim)])
 
     def embed(k: int, M: Matrix) -> Matrix:
-        out = None
-        for j in range(n):
-            factor = M if j == k else Matrix.identity(dims[j])
-            out = factor if out is None else kronecker(out, factor)
-        return out
+        return reduce(kronecker, [M if j == k else Matrix.identity(dims[j]) for j in range(n)])
 
     sum_algebra = construction.algebra
-    rho = []
-    for k in range(n):
-        for i in range(g1.dim):
-            rho.append(embed(k, slot_actions[k][i]))
-
-    beta = None
-    for beta_k in betas:
-        beta = beta_k if beta is None else kronecker(beta, beta_k)
-
+    rho = [embed(k, slot_actions[k][i]) for k in range(n) for i in range(g1.dim)]
+    beta = reduce(kronecker, betas)
     sigma_diag = _block_diagonal([sigma] * n)
     base = LieRep(sum_algebra, beta.rows, tuple(rho))  # checks the summed action
     return hom_rep_from_lie(base, sigma_diag, beta)
@@ -369,18 +322,7 @@ def submodule_closure(R: HomRep, seed: Subspace) -> SubmoduleWitness:
     matrix and under beta; flags recomputed on the result."""
     if seed.ambient_dim != R.dim_V:
         raise ShapeMismatch("seed does not live in the module")
-    current = seed
-    while True:
-        vecs = list(current.basis)
-        for v in current.basis:
-            for m in R.rho_beta:
-                vecs.append(m.apply(v))
-            vecs.append(R.beta.apply(v))
-        grown = Subspace(R.dim_V, vecs)
-        if grown.dim == current.dim:
-            current = grown
-            break
-        current = grown
+    current = seed.closure(lambda v: [m.apply(v) for m in R.rho_beta + (R.beta,)])
     stable_rho, stable_beta = _stability_flags(R, current)
     return SubmoduleWitness(current, stable_rho, stable_beta)
 
@@ -390,12 +332,7 @@ def kernel_image_submodules(R: HomRep):
     flags (both are submodules when the algebra twist is regular)."""
     _, kernel = rref_nullspace(R.beta)
     image = Subspace.column_space(R.beta)
-    kflags = _stability_flags(R, kernel)
-    iflags = _stability_flags(R, image)
-    return (
-        SubmoduleWitness(kernel, *kflags),
-        SubmoduleWitness(image, *iflags),
-    )
+    return tuple(SubmoduleWitness(S, *_stability_flags(R, S)) for S in (kernel, image))
 
 
 def probe_irreducible(R: HomRep, trials: int = 6, rng_seed: int = 0) -> bool:
@@ -411,7 +348,4 @@ def probe_irreducible(R: HomRep, trials: int = 6, rng_seed: int = 0) -> bool:
         if all(x.is_zero() for x in v):
             v[rng.randrange(dim)] = sc(1)
         seeds.append(tuple(v))
-    for v in seeds:
-        if not submodule_closure(R, Subspace(dim, [v])).subspace.is_full():
-            return False
-    return True
+    return all(submodule_closure(R, Subspace(dim, [v])).subspace.is_full() for v in seeds)

@@ -36,9 +36,7 @@ __all__ = [
     "ONE",
     "L",
     "sc",
-    "scalar_arith",
     "scalar_eval",
-    "scalar_is_invertible",
     "parse_scalar",
     "render_scalar",
 ]
@@ -83,10 +81,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((_frac(c),))
 
     @classmethod
     def x_pow(cls, k: int, c=1) -> "Poly":
@@ -274,9 +268,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == _P_ONE and self.den == _P_ONE
-
     def is_rational(self) -> bool:
         return self.num.degree <= 0 and self.den == _P_ONE
 
@@ -297,6 +288,9 @@ class Scalar:
         )
 
     def __hash__(self):
+        # a rational constant hashes as its Fraction, since it equals it
+        if self.den == _P_ONE and self.num.degree <= 0:
+            return hash(self.as_rational())
         return hash((self.num, self.den))
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -412,27 +406,9 @@ def sc(x) -> Scalar:
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatch; op is one of add, sub, mul, div."""
-    a, b = sc(a), sc(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def scalar_eval(a: Scalar, at) -> Fraction:
     """Evaluate at a rational point; raises PoleAtPoint on a pole."""
     return sc(a).eval(at)
-
-
-def scalar_is_invertible(a: Scalar) -> bool:
-    return not sc(a).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +442,37 @@ def render_scalar(s: Scalar) -> str:
     return f"({_render_poly(s.num)})/({_render_poly(s.den)})"
 
 
-# Token kinds shared with the definition-file parser: each token is a
-# (kind, value, (line, col)) triple with kind in
-# {"int", "L", "op", "lparen", "rparen", "ident", "end"}.
-
 class ScalarSyntaxError(HomLieError):
     def __init__(self, message: str, pos):
         super().__init__(message)
         self.pos = pos  # (line, col), 1-based
 
 
-def tokenize_scalar(text: str):
+# Deepest nesting of parentheses and unary signs an expression may have.
+# The expression parser recurses once per level, so this bound keeps the
+# Python stack safe whatever the input.
+MAX_NESTING = 100
+
+_GRAMMAR_PUNCT = "{}[],;=:"
+_DIGITS = "0123456789"
+_MAX_DIGITS = 4300  # the interpreter's default limit for int() of a string
+
+
+def tokenize(text: str, grammar: bool = False):
+    """Tokens of scalar text, or with ``grammar`` of a definition file.
+
+    Each token is a ``(kind, value, (line, col))`` triple, 1-based, with
+    kind in {"int", "L", "op", "lparen", "rparen", "ident", "end"}; the
+    definition grammar adds "arrow" (``->``, ``=>``) and "punct"
+    (``{}[],;=:``), ``#`` comments, and reads ``L`` only as a whole word,
+    since there ``L``-prefixed words are identifiers.  Any other
+    character raises ScalarSyntaxError at its position.
+    """
     toks = []
     line, col = 1, 1
     i = 0
-    while i < len(text):
+    n = len(text)
+    while i < n:
         ch = text[i]
         if ch == "\n":
             line += 1
@@ -491,44 +483,41 @@ def tokenize_scalar(text: str):
             i += 1
             col += 1
             continue
+        if grammar and ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
         pos = (line, col)
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        j = i + 1
+        if ch in _DIGITS:
+            while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise ScalarSyntaxError(f"integer longer than {_MAX_DIGITS} digits", pos)
             toks.append(("int", int(text[i:j]), pos))
-            col += j - i
-            i = j
-            continue
-        if ch == "L":
-            toks.append(("L", "L", pos))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(("ident", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
+            if ch == "L" and (j == i + 1 or not grammar):
+                j = i + 1
+                toks.append(("L", "L", pos))
+            else:
+                toks.append(("ident", text[i:j], pos))
+        elif grammar and text[i:i + 2] in ("->", "=>"):
+            j = i + 2
+            toks.append(("arrow", text[i:j], pos))
+        elif ch in "+-*/^":
             toks.append(("op", ch, pos))
-            i += 1
-            col += 1
-            continue
-        if ch == "(":
+        elif ch == "(":
             toks.append(("lparen", ch, pos))
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
+        elif ch == ")":
             toks.append(("rparen", ch, pos))
-            i += 1
-            col += 1
-            continue
-        raise ScalarSyntaxError(f"unexpected character {ch!r}", pos)
+        elif grammar and ch in _GRAMMAR_PUNCT:
+            toks.append(("punct", ch, pos))
+        else:
+            raise ScalarSyntaxError(f"unexpected character {ch!r}", pos)
+        col += j - i
+        i = j
     toks.append(("end", None, (line, col)))
     return toks
 
@@ -547,16 +536,24 @@ def parse_scalar_tokens(toks, i: int, stop_before_ident: bool = False):
                 f"expected {kind}, found {toks[j][1]!r}", toks[j][2]
             )
 
-    def parse_sum(j):
-        val, j = parse_product(j)
+    def deeper(j, depth):
+        """One level below ``depth``, for the opening token j."""
+        if depth == MAX_NESTING:
+            raise ScalarSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", toks[j][2]
+            )
+        return depth + 1
+
+    def parse_sum(j, depth):
+        val, j = parse_product(j, depth)
         while toks[j][0] == "op" and toks[j][1] in "+-":
             op = toks[j][1]
-            rhs, j = parse_product(j + 1)
+            rhs, j = parse_product(j + 1, depth)
             val = val + rhs if op == "+" else val - rhs
         return val, j
 
-    def parse_product(j):
-        val, j = parse_unary(j)
+    def parse_product(j, depth):
+        val, j = parse_unary(j, depth)
         while toks[j][0] == "op" and toks[j][1] in "*/":
             if (
                 stop_before_ident
@@ -565,22 +562,20 @@ def parse_scalar_tokens(toks, i: int, stop_before_ident: bool = False):
             ):
                 break
             op = toks[j][1]
-            rhs, j = parse_unary(j + 1)
+            rhs, j = parse_unary(j + 1, depth)
             if op == "/" and rhs.is_zero():
                 raise ScalarSyntaxError("division by zero", toks[j - 1][2])
             val = val * rhs if op == "*" else val / rhs
         return val, j
 
-    def parse_unary(j):
-        if toks[j][0] == "op" and toks[j][1] == "-":
-            val, j = parse_unary(j + 1)
-            return -val, j
-        if toks[j][0] == "op" and toks[j][1] == "+":
-            return parse_unary(j + 1)
-        return parse_power(j)
+    def parse_unary(j, depth):
+        if toks[j][0] == "op" and toks[j][1] in "+-":
+            val, k = parse_unary(j + 1, deeper(j, depth))
+            return (-val if toks[j][1] == "-" else val), k
+        return parse_power(j, depth)
 
-    def parse_power(j):
-        base, j = parse_atom(j)
+    def parse_power(j, depth):
+        base, j = parse_atom(j, depth)
         if toks[j][0] == "op" and toks[j][1] == "^":
             j += 1
             sign = 1
@@ -595,26 +590,26 @@ def parse_scalar_tokens(toks, i: int, stop_before_ident: bool = False):
             return base ** exp, j
         return base, j
 
-    def parse_atom(j):
+    def parse_atom(j, depth):
         kind, value, pos = toks[j]
         if kind == "int":
             return sc(value), j + 1
         if kind == "L":
             return L, j + 1
         if kind == "lparen":
-            val, j = parse_sum(j + 1)
+            val, j = parse_sum(j + 1, deeper(j, depth))
             expect("rparen", j)
             return val, j + 1
         raise ScalarSyntaxError(
             f"expected a number, 'L', or '(', found {value!r}", pos
         )
 
-    return parse_sum(i)
+    return parse_sum(i, 0)
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the canonical text form (integers, fractions, L, ^, + - * /, parens)."""
-    toks = tokenize_scalar(text)
+    toks = tokenize(text)
     val, i = parse_scalar_tokens(toks, 0)
     if toks[i][0] != "end":
         raise ScalarSyntaxError(f"trailing input {toks[i][1]!r}", toks[i][2])

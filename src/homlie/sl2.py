@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from .algebra import HomLieAlgebraData, LieAlgebraData, lie_algebra, yau_twist
 from .linalg import Matrix
 from .rep import HomRep, LieRep, hom_rep_from_lie
-from .report import VerificationReport
+from .report import VerificationReport, first_nonzero
 from .scalar import HomLieError, L, ONE, ZERO, Scalar, render_scalar, sc
 
 
@@ -335,54 +335,44 @@ def verify_family_window(M: WindowedModule) -> VerificationReport:
             acc = acc * value
         return acc
 
-    def checks_at(i):
-        e_i = ("e", i)
-        f_i = ("f", i)
-        h_i = ("h", i)
-        b_i = ("beta", i)
-        return {
-            "twist_e": [[lp, e_i, b_i], [sc(-1), e_i, ("beta", i + se)]],
-            "twist_f": [[lp_inv, f_i, b_i], [sc(-1), f_i, ("beta", i + sf)]],
-            "twist_h": [[h_i, b_i], [sc(-1), b_i, h_i]],
-            "bracket_he": [
-                [sc(2) * lp, e_i, b_i],
-                [sc(-1), e_i, ("h", i + se)],
-                [lp, e_i, h_i],
-            ],
-            "bracket_hf": [
-                [sc(-2) * lp_inv, f_i, b_i],
-                [sc(-1), f_i, ("h", i + sf)],
-                [lp_inv, f_i, h_i],
-            ],
-            "bracket_ef": [
-                [h_i, b_i],
-                [sc(-1) * lp, f_i, ("e", i + sf)],
-                [lp_inv, e_i, ("f", i + se)],
-            ],
-        }
+    neg, neg_lp = sc(-1), -lp
+    two_lp, neg_two_lp_inv = sc(2) * lp, sc(-2) * lp_inv
+    checks = {  # name -> the terms of its residual at index i
+        "twist_e": lambda i: [[lp, ("e", i), ("beta", i)], [neg, ("e", i), ("beta", i + se)]],
+        "twist_f": lambda i: [[lp_inv, ("f", i), ("beta", i)], [neg, ("f", i), ("beta", i + sf)]],
+        "twist_h": lambda i: [[("h", i), ("beta", i)], [neg, ("beta", i), ("h", i)]],
+        "bracket_he": lambda i: [
+            [two_lp, ("e", i), ("beta", i)],
+            [neg, ("e", i), ("h", i + se)],
+            [lp, ("e", i), ("h", i)],
+        ],
+        "bracket_hf": lambda i: [
+            [neg_two_lp_inv, ("f", i), ("beta", i)],
+            [neg, ("f", i), ("h", i + sf)],
+            [lp_inv, ("f", i), ("h", i)],
+        ],
+        "bracket_ef": lambda i: [
+            [("h", i), ("beta", i)],
+            [neg_lp, ("f", i), ("e", i + sf)],
+            [lp_inv, ("e", i), ("f", i + se)],
+        ],
+    }
 
-    failures = {}
-    checked = {name: 0 for name in
-               ("twist_e", "twist_f", "twist_h", "bracket_he", "bracket_hf", "bracket_ef")}
-    for i in range(lo, hi + 1):
-        for name, terms in checks_at(i).items():
-            if name in failures:
-                continue
-            values = [term(t) for t in terms]
-            if any(v is None for v in values):
-                continue
-            checked[name] += 1
-            total = ZERO
-            for v in values:
-                total = total + v
-            if not total.is_zero():
-                failures[name] = ({"index": i}, render_scalar(total))
-    for name in checked:
-        if name in failures:
-            witness, residual = failures[name]
-            report.add(name, False, witness, residual)
+    def cases(terms_at, checked):
+        """Residuals at the indices where every term resolves."""
+        for i in range(lo, hi + 1):
+            values = [term(t) for t in terms_at(i)]
+            if all(v is not None for v in values):
+                checked.append(i)
+                yield {"index": i}, sum(values, ZERO)
+
+    for name, terms_at in checks.items():
+        checked = []
+        hit = first_nonzero(cases(terms_at, checked))
+        if hit is None:
+            report.add(name, True, witness={"indices_checked": len(checked)})
         else:
-            report.add(name, True, witness={"indices_checked": checked[name]})
+            report.add_found(name, hit)
     return report
 
 
@@ -461,38 +451,25 @@ def solve_general_parameters(eta0, nu0, mu1, gamma0, window, lam=L) -> GeneralAn
     }
 
     gamma = {i: gamma0 for i in range(lo, hi)}
-    split_ok, split_witness = True, None
+    split_witness = None
     if gamma0.is_zero():
         mu = {i + 1: None for i in range(lo, hi)}
-        for i in range(lo, hi):
-            if not products[i].is_zero():
-                split_ok = False
-                split_witness = {"index": i, "product": render_scalar(products[i])}
-                break
+        bad = next((i for i in range(lo, hi) if not products[i].is_zero()), None)
+        if bad is not None:
+            split_witness = {"index": bad, "product": render_scalar(products[bad])}
     else:
         mu = {i + 1: products[i] / gamma0 for i in range(lo, hi)}
 
     report = VerificationReport()
-
-    ok, witness, residual = True, None, None
-    for i in range(lo + 1, hi):
-        bad = nu[i] * eta[i] - lam * products[i] + lam.inverse() * products[i - 1]
-        if not bad.is_zero():
-            ok, witness, residual = False, {"index": i}, render_scalar(bad)
-            break
-    report.add("equation_1", ok, witness, residual)
-
     half = sc(1) / sc(2)
 
-    def sweep(name, lo_i, hi_i, cofactor):
-        ok, witness, residual = True, None, None
-        for i in range(lo_i, hi_i + 1):
-            bad = cofactor(i)
-            if not bad.is_zero():
-                ok, witness, residual = False, {"index": i}, render_scalar(bad)
-                break
-        report.add(name, ok, witness, residual)
+    def sweep(name, lo_i, hi_i, residual):
+        report.sweep(name, (({"index": i}, residual(i)) for i in range(lo_i, hi_i + 1)))
 
+    sweep(
+        "equation_1", lo + 1, hi - 1,
+        lambda i: nu[i] * eta[i] - lam * products[i] + lam.inverse() * products[i - 1],
+    )
     sweep(
         "equation_2", lo + 1, hi,
         lambda i: eta[i] - half / lam * nu[i - 1] + half * nu[i],
@@ -503,7 +480,7 @@ def solve_general_parameters(eta0, nu0, mu1, gamma0, window, lam=L) -> GeneralAn
     )
     sweep("equation_4", lo + 1, hi, lambda i: eta[i - 1] - lam * eta[i])
     sweep("equation_5", lo, hi - 1, lambda i: eta[i + 1] - lam.inverse() * eta[i])
-    report.add("split_materialization", split_ok, split_witness)
+    report.add("split_materialization", split_witness is None, split_witness)
 
     return GeneralAnsatz(
         eta0, nu0, mu1, gamma0, lam, (lo, hi), eta, nu, products, gamma, mu, report

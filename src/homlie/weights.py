@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _rational_eigenvalue_candidates, ad_matrix, bracket_apply
+from .algebra import ad_matrix, bracket_apply, rational_eigenvalues
 from .linalg import Matrix, ShapeMismatch, Subspace, is_vzero, rref_nullspace
 from .rep import _apply_rho
 from .scalar import (
@@ -123,7 +123,7 @@ def _lift_candidates(M: Matrix):
             Ma = _specialized(M, a)
         except PoleAtPoint:
             continue
-        per_point[a] = set(_rational_eigenvalue_candidates(Ma))
+        per_point[a] = set(rational_eigenvalues(Ma))
     if not per_point:
         raise Incomplete("action matrix has poles at every specialization point")
     found = {}

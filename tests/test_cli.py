@@ -500,3 +500,65 @@ def test_console_script_round_trips():
     assert first.stdout == second.stdout
     payload = json.loads(first.stdout)
     assert payload["command"] == "check"
+
+
+# -- bounded nesting --------------------------------------------------------------
+
+def run_subprocess(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "homlie.cli", *map(str, argv)], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+def test_deep_nesting_in_a_file_is_a_parse_error(tmp_path, opener, closer):
+    prefix = "algebra a { basis x, y; [x,y] = "
+    path = tmp_path / "deep.hla"
+    path.write_text(prefix + opener * 3000 + "1" + closer * 3000 + "*y; }\n")
+    done = run_subprocess("check", path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["type"] == "ParseError"
+    from homlie.scalar import MAX_NESTING
+
+    assert (error["line"], error["column"]) == (1, len(prefix) + MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+def test_deep_nesting_in_a_flag_is_a_usage_error(opener, closer):
+    deep = opener * 3000 + "2" + closer * 3000
+    done = run_subprocess("sl2", "family", "finite", "--lambda", deep, "--b0", "1", "--n", "2")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["type"] == "UsageError"
+    assert "nested deeper than" in error["message"]
+
+
+def test_nesting_up_to_the_limit_parses(capsys):
+    from homlie.scalar import MAX_NESTING
+
+    depth = MAX_NESTING
+    lam = "(" * depth + "2" + ")" * depth
+    code, payload = run_report(
+        capsys, "sl2", "family", "finite", "--lambda", lam, "--b0", "1", "--n", "2"
+    )
+    assert code == 0
+    assert payload["outputs"]["algebra_twist"] == "1/2"
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "²"], ids=["too-long", "superscript"])
+def test_unreadable_integers_exit_2(capsys, tmp_path, digits):
+    code, error = run_error(
+        capsys, "sl2", "family", "finite", "--lambda", digits, "--b0", "1", "--n", "2"
+    )
+    assert code == 2
+    assert error["type"] == "UsageError"
+    path = tmp_path / "digits.hla"
+    path.write_text(f"algebra a {{ basis x, y; [x,y] = {digits}*y; }}\n")
+    code, error = run_error(capsys, "check", path)
+    assert code == 2
+    assert (error["type"], error["line"], error["column"]) == ("ParseError", 1, 33)

@@ -19,7 +19,6 @@ from homlie.linalg import (
     det,
     inverse,
     kronecker,
-    mat_arith,
     rref_nullspace,
     solve_commutant,
     unvec,
@@ -66,21 +65,21 @@ def oracle_rank_by_minors(A):
     return 0
 
 
-# --- mat_arith ------------------------------------------------------------------
+# --- matrix operators -----------------------------------------------------------
 
 def test_mat_arith_trivial():
     I2 = Matrix.identity(2)
-    assert mat_arith(I2, I2, "mul") == I2
+    assert I2 @ I2 == I2
     d = Matrix.diagonal([L, ONE / L])
     dinv = Matrix.diagonal([ONE / L, L])
-    assert mat_arith(d, dinv, "mul") == I2
+    assert d @ dinv == I2
     e12 = Matrix.from_rows([[0, 1], [0, 0]])
     e21 = Matrix.from_rows([[0, 0], [1, 0]])
-    got = mat_arith(e12, e21, "mul") - mat_arith(e21, e12, "mul")
+    got = e12 @ e21 - e21 @ e12
     assert got == Matrix.diagonal([1, -1])
-    assert mat_arith(I2, None, "scale", c=L) == Matrix.diagonal([L, L])
+    assert I2.scale(L) == Matrix.diagonal([L, L])
     with pytest.raises(ShapeMismatch):
-        mat_arith(Matrix.zero(2, 3), I2, "add")
+        Matrix.zero(2, 3) + I2
 
 
 # --- rref / nullspace --------------------------------------------------------------

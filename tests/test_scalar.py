@@ -21,9 +21,7 @@ from homlie.scalar import (
     parse_scalar,
     render_scalar,
     sc,
-    scalar_arith,
     scalar_eval,
-    scalar_is_invertible,
 )
 
 
@@ -83,11 +81,11 @@ def test_oracle_self_check():
 # --- frozen arithmetic examples ---------------------------------------------
 
 def test_mul_inverse_pair():
-    assert scalar_arith(L, ONE / L, "mul") == ONE
+    assert L * (ONE / L) == ONE
 
 
 def test_mul_difference_of_squares():
-    got = scalar_arith(L + ONE, L - ONE, "mul")
+    got = (L + ONE) * (L - ONE)
     assert got == L * L - ONE
 
 
@@ -100,7 +98,7 @@ def test_add_after_cancellation():
     assert rem == [] and reduced == [Fraction(-1), Fraction(1)]
     a = (L * L - ONE) / (L + ONE)
     assert a == L - ONE  # normal form reached eagerly
-    assert scalar_arith(a, ONE, "add") == L
+    assert a + ONE == L
 
 
 def test_eval_examples():
@@ -112,16 +110,18 @@ def test_eval_examples():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(ONE, ZERO, "div")
+        ONE / ZERO
     with pytest.raises(DivisionByZero):
         ZERO.inverse()
 
 
 def test_is_invertible():
-    assert scalar_is_invertible(L - ONE)
-    assert scalar_is_invertible(sc(Fraction(-7, 3)))
-    assert not scalar_is_invertible(ZERO)
-    assert not scalar_is_invertible(L - L)
+    for a in (L - ONE, sc(Fraction(-7, 3))):
+        assert not a.is_zero() and a * a.inverse() == ONE
+    for a in (ZERO, L - L):
+        assert a.is_zero()
+        with pytest.raises(DivisionByZero):
+            a.inverse()
 
 
 # --- normal form -------------------------------------------------------------
@@ -228,3 +228,12 @@ def test_parse_rejects_garbage():
     for bad in ["", "L +", "2**3", "(L", "x", "1 2", "^2", "3/0"]:
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(bad)
+
+
+def test_hash_agrees_with_equality_across_types():
+    for value in (0, 1, -7, Fraction(3, 4), Fraction(-1, 3)):
+        assert sc(value) == value
+        assert hash(sc(value)) == hash(value)
+    assert len({sc(1), 1}) == 1
+    assert len({sc(Fraction(1, 2)), Fraction(1, 2), L}) == 2
+    assert hash(L * L - ONE) == hash((L - ONE) * (L + ONE))
