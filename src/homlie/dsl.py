@@ -67,13 +67,14 @@ FAMILY_PARAM_ORDER = ("n", "tau", "mu", "lambda", "b0", "window")
 
 
 class ParseError(HomLieError):
-    def __init__(self, line, column, expected, found):
+    def __init__(self, line, column, expected, found, reason=None):
         self.line = line
         self.column = column
         self.expected = tuple(sorted(expected))
         self.found = found
         wanted = " or ".join(self.expected)
-        super().__init__(f"line {line}, column {column}: expected {wanted}, found {found!r}")
+        message = f"line {line}, column {column}: expected {wanted}, found {found!r}"
+        super().__init__(f"{message}: {reason}" if reason else message)
 
 
 class ResolutionError(HomLieError):
@@ -218,7 +219,7 @@ class _Parser:
                 if pos == err.pos:
                     found = "end of input" if kind == "end" else str(text)
                     break
-            raise ParseError(err.pos[0], err.pos[1], ("a scalar expression",), found)
+            raise ParseError(*err.pos, ("a scalar expression",), found, str(err))
         return value
 
     # -- grammar productions ------------------------------------------------

@@ -3,19 +3,26 @@
 Every quantity the library computes with lives in the field of rational
 functions in one formal variable ``L`` over the rationals.  A value is a
 quotient ``num/den`` of two polynomials held in normal form, so equality
-of values is plain structural equality of coefficient tuples.
+of values is plain structural equality of their representations.
 
 Representation invariants:
 
-* ``Poly``: coefficients are ``fractions.Fraction``, stored ascending by
-  degree in a tuple with no trailing zeros.  The zero polynomial is the
-  empty tuple and has degree -1.
+* ``Poly``: a polynomial is ``L^low * core``, where ``core`` is a tuple
+  of ``fractions.Fraction`` ascending by degree whose first and last
+  entries are nonzero.  The zero polynomial is ``low = 0, core = ()`` and
+  has degree -1.  So ``c * L^k`` is one coefficient and one int: products
+  add the lows, ``gcd(L^a p, L^b q) = L^min(a, b) gcd(p, q)`` runs Euclid
+  on the cores only, and dividing by a monomial is a shift and a scale.
+  ``Poly.coeffs``, the full ascending tuple with the ``low`` zeros in
+  front, is built on each access for callers that index coefficients by
+  degree.  Only ``divmod`` puts the ``low`` zeros back, and the gcd and
+  the exact divisions of normalisation call it on cores alone.
 * ``Scalar``: ``num`` and ``den`` are ``Poly``; ``den`` is monic and
   nonzero; ``gcd(num, den) == 1``; the zero scalar is ``0/1``.
 
 Normalisation happens on construction, never lazily, so two scalars are
-equal exactly when their coefficient tuples are equal, and hashing is
-safe.  Floating point never appears anywhere.
+equal exactly when their numerators and denominators are, and hashing
+is safe.  Floating point never appears anywhere.
 
 The canonical text form (used by the definition-file grammar and the
 JSON reports) writes polynomials with descending powers of ``L``, e.g.
@@ -66,16 +73,19 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational coefficient")
 
 
-class Poly:
-    """Univariate polynomial over Q, ascending coefficient tuple."""
+def _scaled(c: Fraction, core: tuple) -> tuple:
+    return core if c == 1 else tuple(c * x for x in core)
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """Univariate polynomial over Q, stored as ``L^low * core``."""
+
+    __slots__ = ("low", "core")
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        p = Poly._trim(0, [_frac(c) for c in coeffs])
+        object.__setattr__(self, "low", p.low)
+        object.__setattr__(self, "core", p.core)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
@@ -83,113 +93,134 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _make(cls, low: int, core: tuple) -> "Poly":
+        """L^low * core, for a core already without end zeros."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "low", low if core else 0)
+        object.__setattr__(obj, "core", core)
+        return obj
+
+    @classmethod
+    def _trim(cls, low: int, cs) -> "Poly":
+        """L^low * cs, for a sequence cs that may have end zeros."""
+        j = len(cs)
+        while j and cs[j - 1] == 0:
+            j -= 1
+        i = 0
+        while i < j and cs[i] == 0:
+            i += 1
+        return cls._make(low + i, tuple(cs[i:j]))
+
+    @classmethod
     def x_pow(cls, k: int, c=1) -> "Poly":
         """The monomial c * L^k, k >= 0."""
         if k < 0:
             raise ValueError("x_pow exponent must be nonnegative")
-        return cls((0,) * k + (_frac(c),))
+        c = _frac(c)
+        return cls._make(k, (c,) if c else ())
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """All coefficients, ascending from L^0, built on each access."""
+        return (Fraction(0),) * self.low + self.core
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self.low + len(self.core) - 1 if self.core else -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.core
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.core:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _valuation(self) -> int:
-        """Index of the lowest nonzero coefficient (order at L = 0)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise ValueError("zero polynomial has no valuation")
-
-    def _is_monomial(self) -> bool:
-        return bool(self.coeffs) and all(c == 0 for c in self.coeffs[:-1])
+        return self.core[-1]
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Poly)
+            and self.low == other.low
+            and self.core == other.core
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.low, self.core))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
+        if not other.core:
+            return self
+        if not self.core:
+            return other
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        out = list(a.core)
+        shift = b.low - a.low
+        out.extend([Fraction(0)] * (shift + len(b.core) - len(out)))
+        for i, c in enumerate(b.core, shift):
             out[i] += c
-        return Poly(out)
+        return Poly._trim(a.low, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._make(self.low, tuple(-c for c in self.core))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        # the end coefficients of the cores multiply to nonzero ends
+        a, b = self.core, other.core
         if not a or not b:
             return _P_ZERO
+        low = self.low + other.low
         if len(a) == 1:
-            return self._scale_other(a[0], b)
+            return Poly._make(low, _scaled(a[0], b))
         if len(b) == 1:
-            return self._scale_other(b[0], a)
-        # monomial fast path: most scalars in practice are c * L^k
-        if self._is_monomial():
-            k, c = len(a) - 1, a[-1]
-            return Poly((0,) * k + tuple(c * x for x in b))
-        if other._is_monomial():
-            k, c = len(b) - 1, b[-1]
-            return Poly((0,) * k + tuple(c * x for x in a))
+            return Poly._make(low, _scaled(b[0], a))
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(b, i):
                 if cb != 0:
-                    out[i + j] += ca * cb
-        return Poly(out)
+                    out[j] += ca * cb
+        return Poly._make(low, tuple(out))
 
-    @staticmethod
-    def _scale_other(c: Fraction, coeffs) -> "Poly":
-        if c == 0:
-            return _P_ZERO
-        return Poly(tuple(c * x for x in coeffs))
+    def _pow(self, k: int) -> "Poly":
+        """self ** k for k >= 0, by square-and-multiply."""
+        out, base = _P_ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def scale(self, c) -> "Poly":
-        return self._scale_other(_frac(c), self.coeffs)
+        c = _frac(c)
+        return Poly._make(self.low, _scaled(c, self.core)) if c else _P_ZERO
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         if self.is_zero():
             return _P_ZERO, _P_ZERO
-        if other.degree == 0:
-            inv = 1 / other.coeffs[0]
-            return self.scale(inv), _P_ZERO
         rem = list(self.coeffs)
         dn, dd = len(rem) - 1, other.degree
         if dn < dd:
             return _P_ZERO, self
-        lead = other.leading
+        lead, divisor = other.leading, other.coeffs
         quot = [Fraction(0)] * (dn - dd + 1)
         for k in range(dn - dd, -1, -1):
             q = rem[k + dd] / lead
             if q != 0:
                 quot[k] = q
-                for i, c in enumerate(other.coeffs):
+                for i, c in enumerate(divisor):
                     if c != 0:
                         rem[k + i] -= q * c
         return Poly(quot), Poly(rem[:dd])
@@ -200,34 +231,42 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
+    def _div_exact(self, other: "Poly") -> "Poly":
+        """self / other, for a divisor other of the nonzero self: the
+        lows subtract and the cores divide, a monomial by a scale alone."""
+        core = self.core
+        if len(other.core) > 1:
+            core = (Poly._make(0, core) // Poly._make(0, other.core)).core
+        else:
+            core = _scaled(1 / other.core[0], core)
+        return Poly._make(self.low - other.low, core)
+
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        if self.leading == 1:
+        if self.is_zero() or self.leading == 1:
             return self
         return self.scale(1 / self.leading)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
-        # Monomial fast path: gcd(c*L^k, p) = L^min(k, ord_0(p)).
-        if a._is_monomial():
-            return Poly.x_pow(min(a.degree, b._valuation()))
-        if b._is_monomial():
-            return Poly.x_pow(min(b.degree, a._valuation()))
-        while not b.is_zero():
-            a, b = b, (a % b).monic()
-        return a.monic()
+        """Monic greatest common divisor: L^min(a, b) gcd(p, q) for L^a p and
+        L^b q, as L divides neither core.  So a constant core gives
+        L^min(a, b), and Euclid on the cores drops each remainder's L^k."""
+        if self.is_zero():
+            return other.monic()
+        if other.is_zero():
+            return self.monic()
+        low = min(self.low, other.low)
+        if len(self.core) == 1 or len(other.core) == 1:
+            return Poly._make(low, (Fraction(1),))
+        a, b = Poly._make(0, self.core), Poly._make(0, other.core).monic()
+        while b.core:
+            a, b = b, Poly._make(0, (a % b).core).monic()
+        return Poly._make(low, a.core)
 
     def eval(self, at: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.core):
             acc = acc * at + c
-        return acc
+        return acc * at**self.low
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -252,7 +291,7 @@ class Scalar:
         else:
             g = num.gcd(den)
             if g.degree > 0:
-                num, den = num // g, den // g
+                num, den = num._div_exact(g), den._div_exact(g)
             lead = den.leading
             if lead != 1:
                 inv = 1 / lead
@@ -323,10 +362,10 @@ class Scalar:
         # cross-cancel so the final normalisation gcd is trivial
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
-        n1 = self.num // g1 if g1.degree > 0 else self.num
-        d2 = other.den // g1 if g1.degree > 0 else other.den
-        n2 = other.num // g2 if g2.degree > 0 else other.num
-        d1 = self.den // g2 if g2.degree > 0 else self.den
+        n1 = self.num._div_exact(g1) if g1.degree > 0 else self.num
+        d2 = other.den._div_exact(g1) if g1.degree > 0 else other.den
+        n2 = other.num._div_exact(g2) if g2.degree > 0 else other.num
+        d1 = self.den._div_exact(g2) if g2.degree > 0 else self.den
         num, den = n1 * n2, d1 * d2
         lead = den.leading
         if lead != 1:
@@ -361,10 +400,8 @@ class Scalar:
         if k == 0:
             return ONE
         base = self if k > 0 else self.inverse()
-        out = ONE
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        # base is reduced with a monic denominator, and so is its power
+        return self._raw(base.num._pow(abs(k)), base.den._pow(abs(k)))
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "Scalar":
@@ -419,8 +456,8 @@ def _render_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+    for i in range(len(p.core) - 1, -1, -1):
+        c, k = p.core[i], p.low + i
         if c == 0:
             continue
         if k == 0:

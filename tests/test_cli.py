@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from homlie.cli import main
+from homlie.scalar import MAX_NESTING
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -562,3 +564,46 @@ def test_unreadable_integers_exit_2(capsys, tmp_path, digits):
     code, error = run_error(capsys, "check", path)
     assert code == 2
     assert (error["type"], error["line"], error["column"]) == ("ParseError", 1, 33)
+
+
+@pytest.mark.parametrize(
+    "scalar, column, reason",
+    [
+        (
+            "(" * 150 + "1" + ")" * 150,
+            33 + MAX_NESTING,
+            f"expression nested deeper than {MAX_NESTING} levels",
+        ),
+        ("1/0", 35, "division by zero"),
+        ("0^-1", 36, "zero to a negative power"),
+    ],
+    ids=["nesting", "division-by-zero", "zero-to-negative-power"],
+)
+def test_scalar_error_in_a_file_keeps_its_reason(capsys, tmp_path, scalar, column, reason):
+    path = tmp_path / "bad_scalar.hla"
+    path.write_text(f"algebra a {{ basis x, y; [x,y] = {scalar}*y; }}\n")
+    code, error = run_error(capsys, "check", path)
+    assert code == 2
+    assert (error["type"], error["line"], error["column"]) == ("ParseError", 1, column)
+    assert error["expected"] == ["a scalar expression"]
+    assert error["message"].endswith(f": {reason}")
+
+
+# -- large powers of L ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sl2", "family", "lowest", "--lambda", "L^20000", "--b0", "2", "--tau", "3",
+         "--window", "0:24", "--verify"],
+        ["sl2", "solve", "--eta0", "L", "--nu0", "2", "--mu1", "3", "--gamma0", "L",
+         "--window", "0:200"],
+    ],
+    ids=["family-lambda-L^20000", "solve-window-200"],
+)
+def test_large_powers_of_L_stay_cheap(capsys, argv):
+    started = time.monotonic()
+    code, payload = run_report(capsys, *argv)
+    assert time.monotonic() - started < 5.0
+    assert code == 0
+    assert {c["status"] for c in payload["checks"]} == {"pass"}

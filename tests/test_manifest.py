@@ -1,11 +1,13 @@
-"""Golden replay: every command of the benchmark's cli-corpus pool, in-process.
+"""Golden replay: benchmark pool commands, in-process, against the manifest.
 
 ``perfbench/manifest.json`` holds the exit code each pool command must
 return (fixed when the command is generated) and the sha256 of its
-report.  Running the 504 distinct cli-corpus commands through
-``cli.main`` and comparing both pins every byte of those reports.  The
-generated inputs and a copy of the corpus snapshot are written under
-``tmp_path``; the checkout is only read.
+report.  Running commands through ``cli.main`` and comparing both pins
+every byte of those reports: the 504 distinct cli-corpus commands, and
+variant 0 of each of the 44 family-windows slots, whose sl2 tables and
+solver runs carry large powers of ``L``.  The generated inputs and a
+copy of the corpus snapshot are written under ``tmp_path``; the checkout
+is only read.
 """
 
 import hashlib
@@ -19,7 +21,6 @@ import pytest
 from homlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOAD = "cli-corpus"
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +33,13 @@ def workloads():
     return workloads
 
 
-def test_cli_corpus_reports_match_the_manifest(workloads, tmp_path, monkeypatch, capsys):
-    manifest = json.loads((PERFBENCH / "manifest.json").read_text())["workloads"][WORKLOAD]
-    commands = {c.text: c for c in workloads.pool(WORKLOAD)}
-    assert len(commands) == len(manifest) == 504
+@pytest.fixture(scope="module")
+def manifest():
+    return json.loads((PERFBENCH / "manifest.json").read_text())["workloads"]
 
+
+def replay(workloads, commands, expected, tmp_path, monkeypatch, capsys):
+    """The commands whose exit code or stdout sha256 differ from the manifest."""
     workloads.write_inputs(tmp_path, commands.values())
     shutil.copytree(PERFBENCH / "corpus", tmp_path / workloads.CORPUS_DIR)
     monkeypatch.chdir(tmp_path)
@@ -45,6 +48,25 @@ def test_cli_corpus_reports_match_the_manifest(workloads, tmp_path, monkeypatch,
     for text, command in commands.items():
         code = main(list(command.argv))
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-        if code != command.expect or digest != manifest[text]:
+        if code != command.expect or digest != expected[text]:
             wrong.append(f"{command.key}: exit {code} (expected {command.expect}) {text}")
-    assert wrong == []
+    return wrong
+
+
+def test_cli_corpus_reports_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["cli-corpus"]
+    commands = {c.text: c for c in workloads.pool("cli-corpus")}
+    assert len(commands) == len(expected) == 504
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+
+
+def test_family_windows_reports_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["family-windows"]
+    pool = workloads.pool("family-windows")
+    commands = {c.text: c for c in pool if c.key.endswith("v0")}
+    assert len(pool) == len(expected) == 176 and len(commands) == 44
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []

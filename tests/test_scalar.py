@@ -8,7 +8,7 @@ independent of the library's representation.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from homlie.scalar import (
     DivisionByZero,
@@ -237,3 +237,123 @@ def test_hash_agrees_with_equality_across_types():
     assert len({sc(1), 1}) == 1
     assert len({sc(Fraction(1, 2)), Fraction(1, 2), L}) == 2
     assert hash(L * L - ONE) == hash((L - ONE) * (L + ONE))
+
+
+# --- differential oracle: monomials, shifted cores and powers -----------------
+#
+# Polynomials are stored as L^low * core.  The draws below put large powers
+# of L in front of small rational functions, and every result is checked
+# against the naive dense oracle above or against plain Fraction arithmetic
+# at rational points.
+
+POINTS = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(5, 7))
+
+
+@st.composite
+def dense_polys(draw):
+    """A dense coefficient list with up to 6 leading and 2 trailing zeros."""
+    shift = draw(st.integers(min_value=0, max_value=6))
+    body = draw(st.lists(fracs, max_size=4))
+    tail = draw(st.integers(min_value=0, max_value=2))
+    return [Fraction(0)] * shift + body + [Fraction(0)] * tail
+
+
+@st.composite
+def monomials(draw):
+    """c * L^k with |k| <= 400, built without raising L to a power."""
+    c = draw(fracs.filter(bool))
+    k = draw(st.integers(min_value=-400, max_value=400))
+    if k >= 0:
+        return Scalar(Poly.x_pow(k, c))
+    return Scalar(Poly((c,)), Poly.x_pow(-k))
+
+
+@st.composite
+def shifted(draw):
+    """A small rational function times c * L^k, from padded coefficient lists."""
+    a = draw(scalars())
+    c = draw(fracs.filter(bool))
+    k = draw(st.integers(min_value=-400, max_value=400))
+    num = [Fraction(0)] * max(k, 0) + [c * x for x in a.num.coeffs]
+    den = [Fraction(0)] * max(-k, 0) + list(a.den.coeffs)
+    return Scalar(Poly(num), Poly(den))
+
+
+field_elements = st.one_of(monomials(), scalars(), shifted())
+
+
+def eval_or_none(a, at):
+    try:
+        return a.eval(at)
+    except PoleAtPoint:
+        return None
+
+
+def test_normal_form_is_unique_across_constructions():
+    assert Poly((0, 0, 3)) == Poly.x_pow(2, 3)
+    assert hash(Poly((0, 0, 3))) == hash(Poly.x_pow(2, 3))
+    assert Poly((0, 0, 3)).coeffs == (0, 0, 3)
+    assert Poly.x_pow(5, 0) == Poly(()) == Poly((0, 0))
+    assert Poly((0, 0, 3)).degree == 2 and Poly((0, 0, 3)).leading == 3
+    padded = Scalar(Poly([0] * 300 + [Fraction(2, 3)]))
+    assert padded == sc(Fraction(2, 3)) * L**300
+    assert hash(padded) == hash(sc(Fraction(2, 3)) * L**300)
+    assert Scalar(Poly([0] * 7 + [1, 1]), Poly([0] * 3 + [1, 1])) == L**4
+
+
+@seed(20121)
+@settings(max_examples=150, deadline=None)
+@given(dense_polys(), dense_polys())
+def test_poly_matches_the_dense_oracle(p, q):
+    P, Q = Poly(p), Poly(q)
+    p, q = o_trim(list(p)), o_trim(list(q))
+    assert P.coeffs == tuple(p) and Poly(P.coeffs) == P
+    assert hash(Poly(P.coeffs)) == hash(P)
+    assert P.degree == len(p) - 1
+    assert (P * Q).coeffs == tuple(o_mul(p, q))
+    total = [a + b for a, b in zip(p + [0] * len(q), q + [0] * len(p))]
+    assert (P + Q).coeffs == tuple(o_trim(total))
+    assert P.gcd(Q).coeffs == tuple(o_gcd(p, q))
+    for at in POINTS:
+        assert P.eval(at) == sum(c * at**i for i, c in enumerate(p))
+    if q:
+        quot, rem = divmod(P, Q)
+        o_quot, o_rem = o_divmod(p, q)
+        assert (quot.coeffs, rem.coeffs) == (tuple(o_quot), tuple(o_rem))
+
+
+@seed(20122)
+@settings(max_examples=150, deadline=None)
+@given(field_elements, field_elements, st.integers(min_value=-40, max_value=40))
+def test_operations_commute_with_evaluation(a, b, k):
+    for at in POINTS:
+        ea, eb = eval_or_none(a, at), eval_or_none(b, at)
+        if ea is None or eb is None:
+            continue
+        assert (a + b).eval(at) == ea + eb
+        assert (a - b).eval(at) == ea - eb
+        assert (a * b).eval(at) == ea * eb
+        if eb != 0:
+            assert (a / b).eval(at) == ea / eb
+        if ea != 0:
+            assert a.inverse().eval(at) == 1 / ea
+        if ea != 0 or k >= 0:
+            assert (a**k).eval(at) == ea**k
+
+
+@seed(20123)
+@settings(max_examples=60, deadline=None)
+@given(field_elements, st.integers(min_value=0, max_value=40))
+def test_power_is_repeated_multiplication(a, k):
+    product = ONE
+    for _ in range(k):
+        product = product * a
+    assert a**k == product and hash(a**k) == hash(product)
+    assert (a**k).den.leading == 1
+    if a.is_zero():
+        if k:
+            with pytest.raises(DivisionByZero):
+                a ** -k
+        return
+    assert a**-k == product.inverse()
+    assert (a**-k).den.leading == 1
