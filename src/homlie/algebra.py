@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 from .linalg import (
     Matrix,
@@ -374,26 +375,29 @@ def ad_matrix(A, x) -> Matrix:
 
 
 def killing_form(Lalg: LieAlgebraData) -> KillingForm:
-    """Gram matrix of trace(ad x_i . ad x_j); symmetry and invariance are
-    re-checked on all basis pairs/triples before returning."""
+    """Gram matrix of trace(ad x_i . ad x_j), summed over the nonzeros of
+    ad x_i; symmetry and invariance are re-checked before returning.
+
+    Invariance on all basis triples is checked as "K . ad_j is skew for
+    every j": for a symmetric K and a skew bracket, K([x_i, x_j], x_k) is
+    -(K . ad_j)[k, i] and K(x_i, [x_j, x_k]) is (K . ad_j)[i, k].
+    """
     dim = Lalg.dim
     ads = [ad_matrix(Lalg, _basis_vector(dim, i)) for i in range(dim)]
     entries = []
-    for i in range(dim):
-        for j in range(dim):
-            entries.append((ads[i] @ ads[j]).trace())
+    for ad_i in ads:
+        nonzero = [(k, l, ad_i[k, l]) for k in range(dim) for l in range(dim)
+                   if not ad_i[k, l].is_zero()]
+        for ad_j in ads:
+            entries.append(sum((x * ad_j[l, k] for k, l, x in nonzero), ZERO))
     gram = Matrix(dim, dim, tuple(entries))
     if gram != gram.transpose():
         raise LieAxiomError(_failed_report("killing_symmetry"))
-    K = KillingForm(gram)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = K.pairing(Lalg.c[i][j], _basis_vector(dim, k))
-                rhs = K.pairing(_basis_vector(dim, i), Lalg.c[j][k])
-                if lhs != rhs:
-                    raise LieAxiomError(_failed_report("killing_invariance"))
-    return K
+    for ad_j in ads:
+        M = gram @ ad_j
+        if not (M + M.transpose()).is_zero():
+            raise LieAxiomError(_failed_report("killing_invariance"))
+    return KillingForm(gram)
 
 
 def is_semisimple(Lalg: LieAlgebraData) -> bool:
@@ -585,7 +589,9 @@ def _proper_ideal(Lalg: LieAlgebraData, rng: random.Random, trials: int) -> Subs
 
 
 def _divisors(m: int):
-    return [d for d in range(1, m + 1) if m % d == 0]
+    """Ascending divisors of m >= 0: those up to sqrt(m), then their cofactors."""
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
 def rational_eigenvalues(T: Matrix):

@@ -6,8 +6,9 @@ the usual composition, and the column ``j`` of a map's matrix is the
 image of the ``j``-th basis vector.
 
 Reduction uses plain Gaussian elimination over the field with the first
-nonzero entry in column order as pivot, so echelon forms — and therefore
-:class:`Subspace` bases — are canonical and reproducible.  Vectorisation
+nonzero entry in column order as pivot; a row update skips the zeros of
+the pivot row.  The reduced echelon form is unique, so echelon forms — and
+therefore :class:`Subspace` bases — are canonical and reproducible.  Vectorisation
 is column-stacking: ``vec(X)[j*rows + i] = X[i, j]``, which turns
 ``Q @ X - X @ P = 0`` into ``(I (x) Q - P^T (x) I) vec(X) = 0``.
 """
@@ -207,15 +208,32 @@ class Matrix:
             raise ShapeMismatch("power of a non-square matrix")
         if k < 0:
             return inverse(self).power(-k)
-        out = Matrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
+        out, base = Matrix.identity(self.rows), self
+        while k:
+            if k & 1:
+                out = out @ base
+            k >>= 1
+            if k:
+                base = base @ base
         return out
 
 
 # ---------------------------------------------------------------------------
 # echelon forms
 # ---------------------------------------------------------------------------
+
+def _clear_column(rows, r, col, targets):
+    """In place, zero column ``col`` of the target rows other than ``r`` with
+    the pivot row ``rows[r]`` (1 at ``col``), at its nonzero columns only."""
+    nonzero = [(j, x) for j, x in enumerate(rows[r]) if not x.is_zero()]
+    for i in targets:
+        row = rows[i]
+        f = row[col]
+        if i != r and not f.is_zero():
+            f = -f
+            for j, x in nonzero:
+                row[j] = row[j] + f * x
+
 
 def _rref_rows(rows):
     """In-place reduced row echelon form on a list of row lists.
@@ -239,10 +257,7 @@ def _rref_rows(rows):
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][col].inverse()
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        _clear_column(rows, r, col, range(len(rows)))
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -296,10 +311,8 @@ def det(A: Matrix) -> Scalar:
         p = rows[col][col]
         d = d * p
         inv = p.inverse()
-        for i in range(col + 1, n):
-            if not rows[i][col].is_zero():
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+        rows[col] = [x * inv for x in rows[col]]
+        _clear_column(rows, col, col, range(col + 1, n))
     return d
 
 
@@ -516,9 +529,11 @@ def solve_commutant(pairs) -> Subspace:
     """All X with Q_i @ X = X @ P_i for every pair (P_i, Q_i).
 
     Solved by column-stacking vectorisation: each pair contributes the
-    block ``I (x) Q_i - P_i^T (x) I`` and the blocks are stacked.  The
-    result lives in the vectorised space of m x m matrices; use
-    :func:`unvec` to reshape basis elements.
+    block ``I (x) Q_i - P_i^T (x) I`` and the blocks are stacked.  Row
+    ``a*m + p`` of a block, ``Q[p, q]`` at ``a*m + q`` less ``P[b, a]`` at
+    ``b*m + p``, is written from those nonzeros without forming the Kronecker
+    products.  The result lives in the vectorised space of m x m matrices;
+    use :func:`unvec` to reshape basis elements.
     """
     pairs = list(pairs)
     if not pairs:
@@ -527,9 +542,16 @@ def solve_commutant(pairs) -> Subspace:
     for P, Q in pairs:
         if not (P.is_square() and Q.is_square() and P.rows == m and Q.rows == m):
             raise ShapeMismatch("all pairs must be square of one common size")
-    eye = Matrix.identity(m)
-    blocks = []
+    entries = []
     for P, Q in pairs:
-        blocks.extend((kronecker(eye, Q) - kronecker(P.transpose(), eye)).to_rows())
-    _, null = rref_nullspace(Matrix.from_rows(blocks))
+        for a in range(m):
+            column = P.column(a)
+            for p in range(m):
+                row = [ZERO] * (m * m)
+                row[a * m : (a + 1) * m] = Q.row(p)
+                for b, y in enumerate(column):
+                    if not y.is_zero():
+                        row[b * m + p] = row[b * m + p] - y
+                entries.extend(row)
+    _, null = rref_nullspace(Matrix(len(pairs) * m * m, m * m, entries))
     return null

@@ -1,5 +1,6 @@
 """Algebra-layer tests: axioms, twisting, trace form, ideals, sums."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from homlie.algebra import (
     NotAMorphism,
     NotAnAutomorphism,
     NotSemisimple,
+    _divisors,
     ad_matrix,
     bracket_apply,
     cyclic_sum_construction,
@@ -22,6 +24,7 @@ from homlie.algebra import (
     is_semisimple,
     killing_form,
     lie_algebra,
+    skew_constants,
     verify_hom_lie,
     verify_lie_morphism,
     yau_twist,
@@ -327,6 +330,60 @@ def test_killing_block_structure_on_direct_sum():
             assert gram[i, j] == expected
 
 
+def gl(n):
+    """gl(n) on the matrix units: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    names = tuple(f"E{i}{j}" for i in range(n) for j in range(n))
+    brackets = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if (i, j) < (k, l):
+            value = {}
+            if j == k:
+                value[f"E{i}{l}"] = 1
+            if l == i:
+                value[f"E{k}{j}"] = -1  # E_kj differs from E_il, as (k, l) != (i, j)
+            brackets[(f"E{i}{j}", f"E{k}{l}")] = value
+    return lie_algebra(names, brackets)
+
+
+def broken_sl2():
+    """sl(2) with [h,f] = 2f, which breaks Jacobi on (e,f,h), built without
+    the check made on construction; its trace form is still symmetric."""
+    names = ("e", "f", "h")
+    brackets = {("h", "e"): {"e": 2}, ("h", "f"): {"f": 2}, ("e", "f"): {"h": 1}}
+    A = object.__new__(LieAlgebraData)
+    object.__setattr__(A, "dim", 3)
+    object.__setattr__(A, "basis_names", names)
+    object.__setattr__(A, "c", skew_constants(names, brackets))
+    return A
+
+
+def invariant_by_triples(A, gram):
+    """K([x_i, x_j], x_k) == K(x_i, [x_j, x_k]) on every basis triple."""
+    n = A.dim
+
+    def pairing(x, y):
+        return sum((x[a] * gram[a, b] * y[b] for a in range(n) for b in range(n)), ZERO)
+
+    return all(
+        pairing(A.c[i][j], e_(n, k)) == pairing(e_(n, i), A.c[j][k])
+        for i, j, k in itertools.product(range(n), repeat=3)
+    )
+
+
+def test_killing_invariance_check_matches_the_triple_loop():
+    total = cyclic_sum_construction(sl2(), Matrix.identity(3), 2).algebra
+    for A in (gl(2), gl(3), total):
+        assert invariant_by_triples(A, killing_form(A).gram)
+    A = broken_sl2()
+    ads = [ad_matrix(A, e_(3, i)) for i in range(3)]
+    gram = Matrix(3, 3, tuple((x @ y).trace() for x in ads for y in ads))
+    assert gram == gram.transpose()
+    assert not invariant_by_triples(A, gram)
+    with pytest.raises(LieAxiomError) as exc:
+        killing_form(A)
+    assert exc.value.report.first_failure().name == "killing_invariance"
+
+
 def test_abelian_killing_zero_and_not_semisimple():
     A = abelian(2)
     assert killing_form(A).gram.is_zero()
@@ -480,3 +537,23 @@ def test_decompose_is_deterministic():
     first = decompose_simple_ideals(sum2.algebra, trials=5, rng_seed=9)
     second = decompose_simple_ideals(sum2.algebra, trials=5, rng_seed=9)
     assert first == second
+
+
+# --- rational roots ----------------------------------------------------------
+
+def divisors_from_factorisation(m):
+    divs, p = [1], 2
+    while m > 1:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+        p += 1
+    return sorted(divs)
+
+
+def test_divisors_match_trial_division():
+    for m in range(0, 5001):
+        assert _divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
+    for m in (10**8, 2**20, 997 * 991, 10395**2):
+        assert _divisors(m) == divisors_from_factorisation(m)

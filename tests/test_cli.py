@@ -477,6 +477,37 @@ def test_weights_incomplete_spectrum(capsys):
     assert checks_of(payload) == [("decomposition_complete", "fail")]
 
 
+def standard_sl2_module(d):
+    """The d-dimensional sl2 module: h = diag(n, n - 2, ..., -n) for n = d - 1."""
+    n = d - 1
+
+    def matrix(entry):
+        return "[" + "; ".join(
+            ", ".join(str(entry(i, j)) for j in range(d)) for i in range(d)
+        ) + "]"
+
+    e = matrix(lambda i, j: n - j + 1 if j == i + 1 else 0)
+    f = matrix(lambda i, j: j + 1 if i == j + 1 else 0)
+    h = matrix(lambda i, j: n - 2 * i if i == j else 0)
+    return (
+        "algebra sl2 { basis e, f, h; [h,e] = 2*e; [h,f] = -2*f; [e,f] = h; }\n"
+        f"rep v of sl2 dim {d} {{ e => {e}; f => {f}; h => {h}; }}\n"
+    )
+
+
+@pytest.mark.parametrize("d", [12, 15])
+def test_weights_of_large_standard_modules_stay_cheap(capsys, tmp_path, d):
+    # the characteristic polynomial of h has constant term 10395^2 at d = 12
+    path = tmp_path / f"std{d}.hla"
+    path.write_text(standard_sl2_module(d))
+    started = time.monotonic()
+    code, payload = run_report(capsys, "weights", path, "--rep", "v", "--cartan", "h")
+    assert time.monotonic() - started < 10.0
+    assert code == 0
+    assert {c["status"] for c in payload["checks"]} == {"pass"}
+    assert len(payload["outputs"]["weights"]) == d
+
+
 # -- determinism ----------------------------------------------------------------
 
 def test_output_is_byte_stable(capsys):

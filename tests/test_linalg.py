@@ -2,7 +2,9 @@
 
 Rank expectations are cross-checked against a cofactor-expansion minor
 oracle, and the commutant solver against direct substitution — both
-implemented here, independent of the library's elimination code.
+implemented here, independent of the library's elimination code.  The
+sparse elimination is also compared with the dense one it replaced, kept
+here as a reference, and with the explicitly stacked Kronecker system.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from homlie.linalg import (
     ShapeMismatch,
     Singular,
     Subspace,
+    _rref_rows,
     det,
     inverse,
     kronecker,
@@ -269,3 +272,133 @@ def test_image_under():
     s = Subspace(2, [(1, 0)])
     rot = Matrix.from_rows([[0, -1], [1, 0]])
     assert s.image_under(rot) == Subspace(2, [(0, 1)])
+
+
+# --- sparse elimination against dense references --------------------------------------
+
+def symbolic_entry(rng):
+    """c*L^k or (L+a)/(L-b), with small rationals c, a, b and |k| <= 3."""
+    if rng.random() < 0.5:
+        return sc(rng.choice((1, -1, 2, Fraction(-1, 2), 3))) * L ** rng.randint(-3, 3)
+    return (L + rng.randint(-2, 2)) / (L - rng.randint(-2, 2))
+
+
+def sparse_matrix(rng, n, m=None, symbolic=1):
+    """Mostly zero (about two nonzeros a row once m > 5), the rest small
+    rationals, and ``symbolic`` cells overwritten by symbolic entries;
+    more of those makes exact elimination grow fast."""
+    m = n if m is None else m
+    zero_share = max(0.6, 1 - 2 / m)
+    cells = [ZERO if rng.random() < zero_share else sc(rand_frac(rng)) for _ in range(n * m)]
+    for _ in range(symbolic):
+        cells[rng.randrange(n * m)] = symbolic_entry(rng)
+    return Matrix(n, m, tuple(cells))
+
+
+def with_dependent_rows(rng, A):
+    """A with one row replaced by a combination of two others, so that
+    rank deficiency is exercised too."""
+    rows = A.to_rows()
+    if len(rows) >= 3:
+        c = symbolic_entry(rng)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return Matrix.from_rows(rows)
+
+
+def dense_rref_rows(rows):
+    """The dense elimination loop: every row update walks every column."""
+    if not rows:
+        return 0, []
+    pivots = []
+    r = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots
+
+
+def test_rref_rows_matches_dense_reference():
+    rng = random.Random(31)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        A = with_dependent_rows(rng, sparse_matrix(rng, n, m, symbolic=3))
+        sparse, dense = A.to_rows(), A.to_rows()
+        assert _rref_rows(sparse) == dense_rref_rows(dense)
+        assert sparse == dense
+    assert _rref_rows([]) == dense_rref_rows([]) == (0, [])
+
+
+def test_det_and_inverse_on_sparse_symbolic_matrices():
+    rng = random.Random(37)
+    invertible = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        A = sparse_matrix(rng, n, symbolic=3)
+        if rng.random() < 0.3:
+            A = with_dependent_rows(rng, A)
+        d = det(A)
+        assert d == oracle_det(A.to_rows())
+        if d.is_zero():
+            with pytest.raises(Singular):
+                inverse(A)
+            continue
+        invertible += 1
+        B = inverse(A)
+        assert A @ B == Matrix.identity(n) == B @ A
+    assert invertible >= 10
+
+
+def test_power_is_repeated_product():
+    rng = random.Random(41)
+    A = sparse_matrix(rng, 3)
+    while det(A).is_zero():
+        A = sparse_matrix(rng, 3)
+    product = Matrix.identity(3)
+    for k in range(9):
+        assert A.power(k) == product
+        assert A.power(-k) == inverse(product)
+        product = product @ A
+
+
+def dense_commutant(pairs):
+    m = pairs[0][0].rows
+    eye = Matrix.identity(m)
+    rows = []
+    for P, Q in pairs:
+        rows.extend((kronecker(eye, Q) - kronecker(P.transpose(), eye)).to_rows())
+    return rref_nullspace(Matrix.from_rows(rows))[1]
+
+
+def test_commutant_matches_dense_kronecker_system():
+    rng = random.Random(43)
+    nontrivial = 0
+    for m in range(1, 6):
+        for _ in range(4):
+            # a rescaled permutation S; Q = S P S^-1 makes S a solution
+            perm = rng.sample(range(m), m)
+            S = Matrix(m, m, tuple(
+                sc(rng.choice((1, -2, Fraction(1, 3)))) if perm[i] == j else ZERO
+                for i in range(m) for j in range(m)
+            ))
+            conjugate = rng.random() < 0.6
+            pairs = []
+            for _ in range(rng.randint(1, 3)):
+                P = sparse_matrix(rng, m)
+                Q = S @ P @ inverse(S) if conjugate else sparse_matrix(rng, m)
+                pairs.append((P, Q))
+            sol = solve_commutant(pairs)
+            assert sol == dense_commutant(pairs)
+            nontrivial += not sol.is_zero()
+    assert nontrivial >= 5

@@ -3,9 +3,11 @@
 ``perfbench/manifest.json`` holds the exit code each pool command must
 return (fixed when the command is generated) and the sha256 of its
 report.  Running commands through ``cli.main`` and comparing both pins
-every byte of those reports: the 504 distinct cli-corpus commands, and
+every byte of those reports: the 504 distinct cli-corpus commands,
 variant 0 of each of the 44 family-windows slots, whose sl2 tables and
-solver runs carry large powers of ``L``.  The generated inputs and a
+solver runs carry large powers of ``L``, and variant 0 of each of the 40
+module-solves slots, whose intertwiner, weight, tensor, decomposition
+and Killing reports rest on exact elimination.  The generated inputs and a
 copy of the corpus snapshot are written under ``tmp_path``; the checkout
 is only read.
 """
@@ -69,4 +71,14 @@ def test_family_windows_reports_match_the_manifest(
     pool = workloads.pool("family-windows")
     commands = {c.text: c for c in pool if c.key.endswith("v0")}
     assert len(pool) == len(expected) == 176 and len(commands) == 44
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+
+
+def test_module_solves_reports_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["module-solves"]
+    pool = workloads.pool("module-solves")
+    commands = {c.text: c for c in pool if c.key.endswith("v0")}
+    assert len(pool) == len(expected) == 160 and len(commands) == 40
     assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
