@@ -7,7 +7,10 @@ vanishes).  The twist is *multiplicative* when it is a morphism of the
 bracket, *regular* when it is additionally invertible.
 
 Structure constants are stored dense: ``c[i][j]`` is the coordinate
-vector of the bracket of basis elements ``i`` and ``j``.  Plain Lie
+vector of the bracket of basis elements ``i`` and ``j``.  Each algebra
+also builds, once, the sparse table ``table[i][j]`` of the pairs
+``(k, c[i][j][k])`` with a nonzero constant; brackets, adjoint matrices,
+ideal closures and the axiom sweeps contract it.  Plain Lie
 algebras validate skew-symmetry and the Jacobi identity on
 construction; Hom-Lie data deliberately does not self-validate, since
 :func:`verify_hom_lie` exists to report exactly which axiom fails and
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .linalg import (
@@ -80,8 +84,15 @@ def _coerce_constants(dim, c):
     return tuple(rows)
 
 
+class _SparseTable:
+    @cached_property
+    def table(self) -> tuple:
+        """The sparse constants, built once; equality and repr ignore them."""
+        return _table(self.structure_constants)
+
+
 @dataclass(frozen=True)
-class LieAlgebraData:
+class LieAlgebraData(_SparseTable):
     """A Lie algebra by structure constants; validated on construction."""
 
     dim: int
@@ -93,7 +104,7 @@ class LieAlgebraData:
         if len(self.basis_names) != self.dim:
             raise ShapeMismatch("basis_names length does not match dim")
         object.__setattr__(self, "c", _coerce_constants(self.dim, self.c))
-        report = verify_lie_structure(self.dim, self.c, self.basis_names)
+        report = _lie_report(self.c, self.table, self.basis_names)
         if not report.ok:
             raise LieAxiomError(report)
 
@@ -109,7 +120,7 @@ class LieAlgebraData:
 
 
 @dataclass(frozen=True)
-class HomLieAlgebraData:
+class HomLieAlgebraData(_SparseTable):
     """Bracket constants paired with a twist map.  Not self-validating:
     run :func:`verify_hom_lie` to find out what the pair satisfies."""
 
@@ -187,26 +198,34 @@ def _failed_report(name, witness=None):
 
 
 def bracket_apply(A, x, y):
-    """Bracket of two coordinate vectors via structure-constant contraction."""
+    """Bracket of two coordinate vectors: the sparse table contracted."""
     x = tuple(sc(v) for v in x)
     y = tuple(sc(v) for v in y)
     if len(x) != A.dim or len(y) != A.dim:
         raise ShapeMismatch("vectors do not match the algebra dimension")
-    c = A.structure_constants
+    y = _sparse(y)
     out = [ZERO] * A.dim
     for i, xi in enumerate(x):
         if xi.is_zero():
             continue
-        ci = c[i]
-        for j, yj in enumerate(y):
-            if yj.is_zero():
-                continue
-            cij = ci[j]
+        row = A.table[i]
+        for j, yj in y:
             f = xi * yj
-            for k, coeff in enumerate(cij):
-                if not coeff.is_zero():
-                    out[k] = out[k] + f * coeff
+            for k, coeff in row[j]:
+                out[k] = out[k] + f * coeff
     return tuple(out)
+
+
+def _ad_columns(A, x):
+    """The brackets [x, e_j] for every j, as lists, in one pass over the
+    nonzeros of x."""
+    cols = [[ZERO] * A.dim for _ in range(A.dim)]
+    for i, xi in enumerate(x):
+        if not xi.is_zero():
+            for col, entries in zip(cols, A.table[i]):
+                for k, coeff in entries:
+                    col[k] = col[k] + xi * coeff
+    return cols
 
 
 def _basis_vector(dim, i):
@@ -219,29 +238,15 @@ def _sparse(v):
     return tuple((k, x) for k, x in enumerate(v) if not x.is_zero())
 
 
+def _table(c):
+    return tuple(tuple(_sparse(v) for v in row) for row in c)
+
+
 def _skew_cases(c, names):
     dim = len(c)
     for i in range(dim):
         for j in range(i, dim):
             yield {"pair": [names[i], names[j]]}, [x + y for x, y in zip(c[i][j], c[j][i])]
-
-
-def _twisted_ad(table, alpha: Matrix):
-    """``ad[a][m]``: the sparse vector [alpha(e_a), e_m], from the sparse
-    structure constants ``table``."""
-    dim = len(table)
-    ad = []
-    for a in range(dim):
-        col = _sparse(alpha.column(a))
-        row = []
-        for m in range(dim):
-            acc = [ZERO] * dim
-            for p, w in col:
-                for l, x in table[p][m]:
-                    acc[l] = acc[l] + w * x
-            row.append(_sparse(acc))
-        ad.append(row)
-    return ad
 
 
 def _jacobi_cases(table, ad, names):
@@ -282,9 +287,12 @@ def verify_lie_structure(dim, c, names=None) -> VerificationReport:
     residual is the cyclic sum of [[a, b], t], which is minus the twisted
     sum of [a, [b, t]] whenever skew-symmetry holds."""
     names = tuple(names) if names else tuple(str(i) for i in range(dim))
+    return _lie_report(c, _table(c), names)
+
+
+def _lie_report(c, table, names) -> VerificationReport:
     report = VerificationReport()
     report.sweep("bracket_skew", _skew_cases(c, names))
-    table = [[_sparse(v) for v in row] for row in c]
     hit = first_nonzero(_jacobi_cases(table, table, names))
     if hit is not None:  # report the sum of [[a, b], t]
         hit = hit[0], [-x for x in hit[1]]
@@ -298,8 +306,9 @@ def verify_hom_lie(H: HomLieAlgebraData, check_multiplicative: bool = True) -> V
     names = H.basis_names
     report = VerificationReport()
     report.sweep("bracket_skew", _skew_cases(H.c_alpha, names))
-    table = [[_sparse(v) for v in row] for row in H.c_alpha]
-    report.sweep("twisted_jacobi", _jacobi_cases(table, _twisted_ad(table, H.alpha), names))
+    # ad[a][m]: the sparse vector [alpha(e_a), e_m]
+    ad = [[_sparse(v) for v in _ad_columns(H, H.alpha.column(a))] for a in range(H.dim)]
+    report.sweep("twisted_jacobi", _jacobi_cases(H.table, ad, names))
     if check_multiplicative:
         report.sweep("twist_is_bracket_morphism", _morphism_cases(H, H, H.alpha))
     return report
@@ -370,8 +379,10 @@ class KillingForm:
 def ad_matrix(A, x) -> Matrix:
     """Matrix of bracket-with-x acting on coordinate vectors."""
     x = tuple(sc(v) for v in x)
-    cols = [bracket_apply(A, x, _basis_vector(A.dim, j)) for j in range(A.dim)]
-    return Matrix.from_columns(cols)
+    if len(x) != A.dim:
+        raise ShapeMismatch("vector does not match the algebra dimension")
+    cols = _ad_columns(A, x)
+    return Matrix._of(A.dim, A.dim, tuple(y for col in cols for y in col)).transpose()
 
 
 def killing_form(Lalg: LieAlgebraData) -> KillingForm:
@@ -423,17 +434,14 @@ def ideal_closure(A, seed: Subspace) -> IdealWitness:
     if seed.ambient_dim != A.dim:
         raise ShapeMismatch("seed does not live in the algebra")
     alpha = getattr(A, "alpha", None)
-    basis_vecs = [_basis_vector(A.dim, j) for j in range(A.dim)]
 
     def images(v):
-        brackets = [bracket_apply(A, v, e) for e in basis_vecs]
+        brackets = _ad_columns(A, v)
         return brackets if alpha is None else brackets + [alpha.apply(v)]
 
     current = seed.closure(images)
     closed_bracket = all(
-        current.contains_vector(bracket_apply(A, v, e))
-        for v in current.basis
-        for e in basis_vecs
+        current.contains_vector(w) for v in current.basis for w in _ad_columns(A, v)
     )
     closed_alpha = True
     if alpha is not None:

@@ -5,10 +5,13 @@ Matrices are dense, row-major, immutable; every entry is a
 the usual composition, and the column ``j`` of a map's matrix is the
 image of the ``j``-th basis vector.
 
-Reduction uses plain Gaussian elimination over the field with the first
-nonzero entry in column order as pivot; a row update skips the zeros of
-the pivot row.  The reduced echelon form is unique, so echelon forms — and
-therefore :class:`Subspace` bases — are canonical and reproducible.  Vectorisation
+Reduction runs on sparse rows ``{col: Scalar}``: each row is reduced
+against the pivot rows found so far and, if anything is left, inserted
+normalised at its first nonzero column and cleared from the other pivot
+rows, so only nonzeros are ever touched.  The reduced echelon form is
+unique, so echelon forms — and therefore :class:`Subspace` bases — are
+canonical and reproducible whatever the order of elimination.  A subspace
+closure is a worklist over the same pivot rows.  Vectorisation
 is column-stacking: ``vec(X)[j*rows + i] = X[i, j]``, which turns
 ``Q @ X - X @ P = 0`` into ``(I (x) Q - P^T (x) I) vec(X) = 0``.
 """
@@ -50,6 +53,15 @@ class Matrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """A matrix from a tuple of rows * cols Scalars, taken as they are."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rows", rows)
+        object.__setattr__(obj, "cols", cols)
+        object.__setattr__(obj, "entries", entries)
+        return obj
+
+    @classmethod
     def from_rows(cls, rows) -> "Matrix":
         rows = [_coerce_row(r) for r in rows]
         if not rows:
@@ -61,11 +73,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls._of(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls._of(rows, cols, (ZERO,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag) -> "Matrix":
@@ -127,7 +139,7 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
+        return Matrix._of(
             self.rows,
             self.cols,
             tuple(a + b for a, b in zip(self.entries, other.entries)),
@@ -135,18 +147,18 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
+        return Matrix._of(
             self.rows,
             self.cols,
             tuple(a - b for a, b in zip(self.entries, other.entries)),
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._of(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c) -> "Matrix":
         c = sc(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return Matrix._of(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -154,20 +166,15 @@ class Matrix:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         n, m, k = self.rows, other.cols, self.cols
+        brows = [tuple(_nonzeros(other.entries[t * m : (t + 1) * m]).items()) for t in range(k)]
         out = [ZERO] * (n * m)
         for i in range(n):
-            arow = self.entries[i * k : (i + 1) * k]
-            for t in range(k):
-                a = arow[t]
-                if a.is_zero():
-                    continue
-                brow = other.entries[t * m : (t + 1) * m]
-                base = i * m
-                for j in range(m):
-                    b = brow[j]
-                    if not b.is_zero():
+            base = i * m
+            for t, a in enumerate(self.entries[i * k : (i + 1) * k]):
+                if not a.is_zero():
+                    for j, b in brows[t]:
                         out[base + j] = out[base + j] + a * b
-        return Matrix(n, m, tuple(out))
+        return Matrix._of(n, m, tuple(out))
 
     def apply(self, v) -> tuple:
         """Apply to a coordinate vector (length = cols); returns a tuple."""
@@ -185,7 +192,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.cols,
             self.rows,
             tuple(
@@ -222,47 +229,67 @@ class Matrix:
 # echelon forms
 # ---------------------------------------------------------------------------
 
-def _clear_column(rows, r, col, targets):
-    """In place, zero column ``col`` of the target rows other than ``r`` with
-    the pivot row ``rows[r]`` (1 at ``col``), at its nonzero columns only."""
-    nonzero = [(j, x) for j, x in enumerate(rows[r]) if not x.is_zero()]
-    for i in targets:
-        row = rows[i]
-        f = row[col]
-        if i != r and not f.is_zero():
-            f = -f
-            for j, x in nonzero:
-                row[j] = row[j] + f * x
+# The sparse echelon kernel.  An echelon is a dict from pivot column to
+# that pivot row, {col: Scalar} without the pivot's own entry (an implied
+# 1); every pivot row is zero at the other pivot columns.
+
+def _nonzeros(row) -> dict:
+    return {j: x for j, x in enumerate(row) if not x.is_zero()}
+
+
+def _dense(n: int, p: int, row: dict) -> list:
+    v = [ZERO] * n
+    v[p] = ONE
+    for j, x in row.items():
+        v[j] = x
+    return v
+
+
+def _subtract(v: dict, f: Scalar, row: dict):
+    """v -= f * row, in place, dropping the entries that cancel."""
+    for j, x in row.items():
+        y = v.get(j, ZERO) - f * x
+        if y.is_zero():
+            del v[j]
+        else:
+            v[j] = y
+
+
+def _reduce(v: dict, echelon: dict) -> dict:
+    """Reduce the sparse row v in place against the echelon; returns v."""
+    for p in [p for p in v if p in echelon]:
+        _subtract(v, v.pop(p), echelon[p])
+    return v
+
+
+def _insert(v: dict, echelon: dict):
+    """Reduce v and, unless it vanishes, add it to the echelon normalised at
+    its first nonzero column, cleared from the other rows.  Returns that
+    new pivot column, or None."""
+    if not _reduce(v, echelon):
+        return None
+    q = min(v)
+    inv = v.pop(q).inverse()
+    if inv != ONE:
+        v = {j: x * inv for j, x in v.items()}
+    for row in echelon.values():
+        if q in row:
+            _subtract(row, row.pop(q), v)
+    echelon[q] = v
+    return q
 
 
 def _rref_rows(rows):
-    """In-place reduced row echelon form on a list of row lists.
-
-    Returns (rank, pivot column list).  Pivot choice: first row with a
-    nonzero entry in the current column, columns scanned left to right.
-    """
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        _clear_column(rows, r, col, range(len(rows)))
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots
+    """In-place reduced row echelon form on a list of row lists: the pivot
+    rows in column order, then the zero rows.  Returns (rank, pivot column
+    list)."""
+    echelon = {}
+    for row in rows:
+        _insert(_nonzeros(row), echelon)
+    pivots = sorted(echelon)
+    n, rank = (len(rows[0]) if rows else 0), len(pivots)
+    rows[:] = [_dense(n, p, echelon[p]) for p in pivots] + [[ZERO] * n for _ in rows[rank:]]
+    return rank, pivots
 
 
 def rref(A: Matrix):
@@ -278,42 +305,38 @@ def rref_nullspace(A: Matrix):
     The nullspace basis follows the standard free-column construction and
     is then put into reduced echelon form by the Subspace constructor.
     """
-    rows = A.to_rows()
+    return _nullspace(A.to_rows(), A.cols)
+
+
+def _nullspace(rows, ncols: int):
+    """:func:`rref_nullspace` of the system given as row lists, which are
+    reduced in place."""
     rank, pivots = _rref_rows(rows)
-    free = [j for j in range(A.cols) if j not in pivots]
     basis = []
-    for j in free:
-        v = [ZERO] * A.cols
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        v = [ZERO] * ncols
         v[j] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][j]
         basis.append(v)
-    return rank, Subspace(A.cols, basis)
+    return rank, Subspace(ncols, basis)
 
 
 def det(A: Matrix) -> Scalar:
+    """The product of the pivots met as the rows go into an echelon, signed
+    by the permutation that sorts their pivot columns."""
     if not A.is_square():
         raise ShapeMismatch("determinant of a non-square matrix")
-    rows = A.to_rows()
-    n = A.rows
-    d = ONE
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
+    echelon, order, d = {}, [], ONE
+    for i in range(A.rows):
+        v = _reduce(_nonzeros(A.row(i)), echelon)
+        if not v:
             return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            d = -d
-        p = rows[col][col]
-        d = d * p
-        inv = p.inverse()
-        rows[col] = [x * inv for x in rows[col]]
-        _clear_column(rows, col, col, range(col + 1, n))
-    return d
+        order.append(min(v))
+        d = d * v[order[-1]]
+        _insert(v, echelon)
+    swaps = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+    return -d if swaps % 2 else d
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -344,7 +367,7 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
                     b = B[p, q]
                     if not b.is_zero():
                         out[(i * B.rows + p) * cols + (j * B.cols + q)] = a * b
-    return Matrix(rows, cols, tuple(out))
+    return Matrix._of(rows, cols, tuple(out))
 
 
 def vec(X: Matrix) -> tuple:
@@ -370,7 +393,7 @@ class Subspace:
     membership loops are ever needed to compare them.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_echelon")
 
     def __init__(self, ambient_dim: int, vectors=()):
         rows = [list(_coerce_row(v)) for v in vectors]
@@ -379,9 +402,14 @@ class Subspace:
                 raise ShapeMismatch(
                     f"vector of length {len(r)} in ambient dimension {ambient_dim}"
                 )
-        rank, _ = _rref_rows(rows)
+        rank, pivots = _rref_rows(rows)
+        basis = tuple(tuple(r) for r in rows[:rank])
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows[:rank]))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_echelon", {
+            p: {j: x for j, x in _nonzeros(r).items() if j != p}
+            for p, r in zip(pivots, basis)
+        })
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -427,15 +455,10 @@ class Subspace:
         return f"Subspace({self.dim} of {self.ambient_dim}: [{vecs}])"
 
     def contains_vector(self, v) -> bool:
-        v = list(_coerce_row(v))
+        v = _coerce_row(v)
         if len(v) != self.ambient_dim:
             raise ShapeMismatch("vector/ambient dimension mismatch")
-        for row in self.basis:
-            pivot = next(j for j, x in enumerate(row) if not x.is_zero())
-            if not v[pivot].is_zero():
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x.is_zero() for x in v)
+        return not _reduce(_nonzeros(v), self._echelon)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis)
@@ -488,16 +511,22 @@ class Subspace:
 
     def closure(self, images) -> "Subspace":
         """Smallest subspace containing this one that holds ``images(v)``
-        (a list of vectors) for each of its members v."""
-        current = self
-        while True:
-            vecs = list(current.basis)
-            for v in current.basis:
-                vecs.extend(images(v))
-            grown = Subspace(self.ambient_dim, vecs)
-            if grown.dim == current.dim:
-                return grown
-            current = grown
+        (a list of vectors) for each of its members v.
+
+        ``images`` must be linear in v: then the images of a spanning set
+        span the images of every member.  So the closure is a worklist:
+        each image is reduced once against the pivot rows, and only a new
+        direction, the image left after reduction, is imaged in turn.
+        """
+        n = self.ambient_dim
+        echelon = {p: dict(row) for p, row in self._echelon.items()}
+        todo = list(self.basis)
+        while todo:
+            for w in images(todo.pop()):
+                q = _insert(_nonzeros(w), echelon)
+                if q is not None:
+                    todo.append(_dense(n, q, echelon[q]))
+        return Subspace(n, [_dense(n, p, echelon[p]) for p in sorted(echelon)])
 
 
 def vzero(n: int) -> tuple:
@@ -542,7 +571,7 @@ def solve_commutant(pairs) -> Subspace:
     for P, Q in pairs:
         if not (P.is_square() and Q.is_square() and P.rows == m and Q.rows == m):
             raise ShapeMismatch("all pairs must be square of one common size")
-    entries = []
+    rows = []
     for P, Q in pairs:
         for a in range(m):
             column = P.column(a)
@@ -552,6 +581,5 @@ def solve_commutant(pairs) -> Subspace:
                 for b, y in enumerate(column):
                     if not y.is_zero():
                         row[b * m + p] = row[b * m + p] - y
-                entries.extend(row)
-    _, null = rref_nullspace(Matrix(len(pairs) * m * m, m * m, entries))
-    return null
+                rows.append(row)
+    return _nullspace(rows, m * m)[1]

@@ -63,12 +63,14 @@ class NoInvertibleSolution(HomLieError):
 def _apply_rho(rho, vector) -> Matrix:
     """Linear extension of per-basis action matrices to a coordinate vector."""
     dim_V = rho[0].rows
-    out = Matrix.zero(dim_V, dim_V)
+    out = [ZERO] * (dim_V * dim_V)
     for coeff, mat in zip(vector, rho):
         coeff = sc(coeff)
         if not coeff.is_zero():
-            out = out + mat.scale(coeff)
-    return out
+            for k, x in enumerate(mat.entries):
+                if not x.is_zero():
+                    out[k] = out[k] + coeff * x
+    return Matrix._of(dim_V, dim_V, tuple(out))
 
 
 def _actions(rho, algebra, dim_V) -> tuple:
@@ -136,30 +138,28 @@ def verify_hom_rep(R: HomRep) -> VerificationReport:
     twist-power identities (exponents up to 3) when beta is invertible.
 
     The module conditions are the power identities at their lowest
-    exponents, so each is swept once and reported under both names."""
+    exponents, so each is swept once and reported under both names.
+    ``act[n][i]``, the action of twist^n e_i, is formed once per power n:
+    by linearity it is ``act[n - 1]`` applied to twist e_i, and ``act[n]``
+    applied to any x is the action of twist^n x."""
     H = R.algebra
     names = H.basis_names
     dim = H.dim
     rho = R.rho_beta
-    apow = [Matrix.identity(dim), H.alpha]
     bpow = [Matrix.identity(R.dim_V), R.beta]
+    twist_cols = [H.alpha.column(i) for i in range(dim)]
+    act = [rho, tuple(_apply_rho(rho, col) for col in twist_cols)]
 
     def twist_cases(n):
         for i in range(dim):
-            lhs = _apply_rho(rho, apow[n].column(i)) @ bpow[n]
-            yield {"element": names[i]}, lhs - bpow[n] @ rho[i]
+            yield {"element": names[i]}, act[n][i] @ bpow[n] - bpow[n] @ rho[i]
 
     def bracket_cases(n):
+        a, b = act[n], act[n + 1]
         for i in range(dim):
             for j in range(i + 1, dim):
-                lhs = _apply_rho(rho, apow[n].apply(H.c_alpha[i][j])) @ R.beta
-                rhs = (
-                    _apply_rho(rho, apow[n + 1].column(i))
-                    @ _apply_rho(rho, apow[n].column(j))
-                    - _apply_rho(rho, apow[n + 1].column(j))
-                    @ _apply_rho(rho, apow[n].column(i))
-                )
-                yield {"pair": [names[i], names[j]]}, lhs - rhs
+                lhs = _apply_rho(a, H.c_alpha[i][j]) @ R.beta
+                yield {"pair": [names[i], names[j]]}, lhs - (b[i] @ a[j] - b[j] @ a[i])
 
     report = VerificationReport()
     twist = first_nonzero(twist_cases(1))
@@ -171,8 +171,8 @@ def verify_hom_rep(R: HomRep) -> VerificationReport:
         return report
 
     for _ in range(2):
-        apow.append(H.alpha @ apow[-1])
         bpow.append(R.beta @ bpow[-1])
+        act.append(tuple(_apply_rho(act[-1], col) for col in twist_cols))
 
     report.add_found("twist_power_1", twist, n=1)
     for n in (2, 3):

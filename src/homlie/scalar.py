@@ -305,7 +305,7 @@ class Scalar:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.core
 
     def is_rational(self) -> bool:
         return self.num.degree <= 0 and self.den == _P_ONE
@@ -347,10 +347,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return self._raw(-self.num, self.den)
+        return self if self.is_zero() else self._raw(-self.num, self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-sc(other))
+        other = sc(other)
+        return self if other.is_zero() else self + (-other)
 
     def __rsub__(self, other):
         return sc(other) + (-self)

@@ -15,6 +15,7 @@ from homlie.algebra import (
     NotAnAutomorphism,
     NotSemisimple,
     _divisors,
+    _sparse,
     ad_matrix,
     bracket_apply,
     cyclic_sum_construction,
@@ -30,6 +31,7 @@ from homlie.algebra import (
     yau_twist,
 )
 from homlie.linalg import Matrix, Singular, Subspace, det
+from homlie.rep import HomRep, submodule_closure
 from homlie.scalar import L, ONE, ZERO, sc
 
 
@@ -557,3 +559,153 @@ def test_divisors_match_trial_division():
         assert _divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
     for m in (10**8, 2**20, 997 * 991, 10395**2):
         assert _divisors(m) == divisors_from_factorisation(m)
+
+
+# --- the sparse bracket table and worklist closures against dense references ---
+
+def heisenberg(scale):
+    """The Heisenberg algebra in a rescaled basis: [x, y] = scale * z."""
+    return lie_algebra(("x", "y", "z"), {("x", "y"): {"z": scale}})
+
+
+def table_algebras():
+    sum2 = cyclic_sum_construction(sl2(), Matrix.identity(3), 2)
+    return [
+        gl(3),
+        sum2.algebra,
+        heisenberg(sc(Fraction(3, 2)) * L ** 2),
+        heisenberg((L + ONE) / (L - sc(2))),
+        yau_twist(sum2.algebra, sum2.alpha),
+    ]
+
+
+def rand_entry(rng):
+    """0, a small rational, c*L^k or (L+a)/(L-b)."""
+    r = rng.random()
+    if r < 0.5:
+        return ZERO
+    if r < 0.8:
+        return sc(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    if r < 0.9:
+        return sc(rng.choice((1, -2, Fraction(1, 3)))) * L ** rng.randint(-2, 2)
+    return (L + rng.randint(-2, 2)) / (L - rng.randint(-2, 2))
+
+
+def rand_vec(rng, dim):
+    return tuple(rand_entry(rng) for _ in range(dim))
+
+
+def dense_bracket(A, x, y):
+    """The contraction over every cell of the dense constants."""
+    c, n = A.structure_constants, A.dim
+    return tuple(
+        sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)), ZERO)
+        for k in range(n)
+    )
+
+
+def test_stored_table_is_the_sparse_constants():
+    for A in table_algebras():
+        c = A.structure_constants
+        n = A.dim
+        assert A.table == tuple(tuple(_sparse(c[i][j]) for j in range(n)) for i in range(n))
+        assert A.table is A.table  # built once
+        assert "table" not in repr(A)
+    A = gl(3)
+    assert A == LieAlgebraData(A.dim, A.basis_names, A.c) and hash(A) == hash(gl(3))
+
+
+def test_bracket_apply_and_ad_matrix_match_the_dense_contraction():
+    rng = random.Random(59)
+    for A in table_algebras():
+        n = A.dim
+        for _ in range(4):
+            x, y = rand_vec(rng, n), rand_vec(rng, n)
+            assert bracket_apply(A, x, y) == dense_bracket(A, x, y)
+            columns = [dense_bracket(A, x, e_(n, j)) for j in range(n)]
+            assert ad_matrix(A, x) == Matrix.from_columns(columns)
+        for i in range(n):
+            assert ad_matrix(A, e_(n, i)).column(i) == (ZERO,) * n
+
+
+def fixpoint_closure(S, images):
+    """The closure as a fixpoint loop: every round images the whole basis
+    and reduces it again, until the dimension stops growing."""
+    current = S
+    while True:
+        vecs = list(current.basis)
+        for v in current.basis:
+            vecs.extend(images(v))
+        grown = Subspace(S.ambient_dim, vecs)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+
+
+def holds(S, vectors):
+    """Membership by rank, independent of Subspace.contains_vector."""
+    return all(Subspace(S.ambient_dim, list(S.basis) + [w]).dim == S.dim for w in vectors)
+
+
+def test_ideal_closure_matches_the_fixpoint_loop():
+    rng = random.Random(61)
+    A3 = gl(3)
+    twisted = [
+        HomLieAlgebraData(9, A3.basis_names, A3.c, Matrix.diagonal([L ** k for k in range(9)])),
+        yau_twist(heisenberg(sc(2)), Matrix.diagonal([L, ONE, L])),
+    ]
+    proper = 0
+    for A in table_algebras() + twisted:
+        n = A.dim
+        alpha = getattr(A, "alpha", None)
+
+        def images(v):
+            brackets = [dense_bracket(A, v, e_(n, j)) for j in range(n)]
+            return brackets + ([alpha.apply(v)] if alpha is not None else [])
+
+        seeds = [[e_(n, rng.randrange(n))], [rand_vec(rng, n)], []]
+        if n == 9:  # the identity spans the centre of gl(3)
+            seeds.append([tuple(ONE if i % 4 == 0 else ZERO for i in range(9))])
+        for vecs in seeds:
+            seed = Subspace(n, vecs)
+            w = ideal_closure(A, seed)
+            assert w.subspace == fixpoint_closure(seed, images)
+            brackets = [dense_bracket(A, v, e_(n, j)) for v in w.subspace.basis for j in range(n)]
+            assert w.closed_under_bracket == holds(w.subspace, brackets)
+            twist_images = [alpha.apply(v) for v in w.subspace.basis] if alpha is not None else []
+            assert w.closed_under_alpha == holds(w.subspace, twist_images)
+            proper += 0 < w.subspace.dim < n
+    assert proper >= 8
+
+
+def test_submodule_closure_matches_the_fixpoint_loop():
+    rng = random.Random(67)
+    sum2 = cyclic_sum_construction(sl2(), Matrix.identity(3), 2)
+    H = yau_twist(sum2.algebra, Matrix.identity(6))
+    adjoint = HomRep(H, 6, tuple(ad_matrix(H, e_(6, i)) for i in range(6)), Matrix.identity(6))
+    twisted = yau_twist(sl2(), diag_twist())
+    # an upper block-triangular action: the first two coordinates are stable
+    blocks = tuple(
+        Matrix(4, 4, tuple(
+            ZERO if i >= 2 > j else rand_entry(rng) for i in range(4) for j in range(4)
+        ))
+        for _ in range(3)
+    )
+    raw = HomRep(twisted, 4, blocks, Matrix.diagonal([L, ONE, L, ONE]))
+    proper = 0
+    for R in (adjoint, raw):
+        n = R.dim_V
+
+        def images(v):
+            return [m.apply(v) for m in R.rho_beta + (R.beta,)]
+
+        for vecs in ([e_(n, 0)], [rand_vec(rng, n)], [e_(n, 1), e_(n, n - 1)]):
+            seed = Subspace(n, vecs)
+            w = submodule_closure(R, seed)
+            assert w.subspace == fixpoint_closure(seed, images)
+            stable = [m.apply(v) for m in R.rho_beta for v in w.subspace.basis]
+            assert w.stable_under_rho == holds(w.subspace, stable)
+            beta_images = [R.beta.apply(v) for v in w.subspace.basis]
+            assert w.stable_under_beta == holds(w.subspace, beta_images)
+            proper += 0 < w.subspace.dim < n
+    assert proper >= 3

@@ -402,3 +402,66 @@ def test_commutant_matches_dense_kronecker_system():
             assert sol == dense_commutant(pairs)
             nontrivial += not sol.is_zero()
     assert nontrivial >= 5
+
+
+# --- worklist closure and sparse membership against references ------------------
+
+def fixpoint_closure(S, images):
+    """The closure as a fixpoint loop: every round images the whole basis
+    and reduces it again, until the dimension stops growing."""
+    current = S
+    while True:
+        vecs = list(current.basis)
+        for v in current.basis:
+            vecs.extend(images(v))
+        grown = Subspace(S.ambient_dim, vecs)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+
+
+def with_invariant_block(A, k):
+    """A with the block below row k and left of column k cleared, so that
+    the span of the first k basis vectors is invariant."""
+    rows = A.to_rows()
+    return Matrix.from_rows(
+        [[ZERO if i >= k > j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    )
+
+
+def test_closure_matches_the_fixpoint_loop():
+    rng = random.Random(47)
+    proper = 0
+    for _ in range(30):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        maps = [
+            with_invariant_block(sparse_matrix(rng, n, symbolic=2), k)
+            for _ in range(rng.randint(1, 2))
+        ]
+        seeds = [sparse_matrix(rng, 1, n, symbolic=1).row(0) for _ in range(rng.randint(0, 2))]
+        if seeds and rng.random() < 0.5:  # a seed inside the invariant block
+            seeds[0] = seeds[0][:k] + (ZERO,) * max(0, n - k)
+        S = Subspace(n, seeds)
+
+        def images(v):
+            return [M.apply(v) for M in maps]
+
+        closed = S.closure(images)
+        assert closed == fixpoint_closure(S, images)
+        assert all(closed.contains_vector(w) for v in closed.basis for w in images(v))
+        proper += 0 < closed.dim < n
+    assert proper >= 5
+
+
+def test_contains_vector_matches_the_rank_test():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        S = Subspace(n, with_dependent_rows(rng, sparse_matrix(rng, 3, n, symbolic=2)).to_rows())
+        inside = [ZERO] * n
+        for row in S.basis:
+            c = symbolic_entry(rng)
+            inside = [a + c * b for a, b in zip(inside, row)]
+        for v in (inside, sparse_matrix(rng, 1, n, symbolic=1).row(0)):
+            assert S.contains_vector(v) == (S.add(Subspace(n, [v])).dim == S.dim)
+        assert S.contains_vector(inside)

@@ -7,7 +7,9 @@ every byte of those reports: the 504 distinct cli-corpus commands,
 variant 0 of each of the 44 family-windows slots, whose sl2 tables and
 solver runs carry large powers of ``L``, and variant 0 of each of the 40
 module-solves slots, whose intertwiner, weight, tensor, decomposition
-and Killing reports rest on exact elimination.  The generated inputs and a
+and Killing reports rest on exact elimination, plus every variant of the
+module-solves ``rep tensor`` and ``decompose`` slots, which run the worklist
+closures and the per-power module actions.  The generated inputs and a
 copy of the corpus snapshot are written under ``tmp_path``; the checkout
 is only read.
 """
@@ -81,4 +83,18 @@ def test_module_solves_reports_match_the_manifest(
     pool = workloads.pool("module-solves")
     commands = {c.text: c for c in pool if c.key.endswith("v0")}
     assert len(pool) == len(expected) == 160 and len(commands) == 40
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+
+
+def test_module_solves_tensor_and_decompose_variants_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["module-solves"]
+    commands = {
+        c.text: c for c in workloads.pool("module-solves")
+        if c.argv[0] == "decompose" or c.argv[:2] == ("rep", "tensor")
+    }
+    assert len(commands) == 52 and {c.key[-2:] for c in commands.values()} == {
+        "v0", "v1", "v2", "v3"
+    }
     assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []

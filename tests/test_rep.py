@@ -29,6 +29,7 @@ from homlie.rep import (
     tensor_hom_rep,
     verify_hom_rep,
 )
+from homlie.report import VerificationReport, first_nonzero
 from homlie.scalar import L, ONE, ZERO, sc
 
 
@@ -369,3 +370,98 @@ def test_random_vector_closures_full_on_twisted_modules():
             v[0] = ONE
         w = submodule_closure(R, Subspace(4, [tuple(v)]))
         assert w.subspace.is_full()
+
+
+# --- failure parity of verify_hom_rep against a per-pair reference --------------
+
+def reference_apply_rho(rho, vector):
+    out = Matrix.zero(rho[0].rows, rho[0].rows)
+    for coeff, mat in zip(vector, rho):
+        if not coeff.is_zero():
+            out = out + mat.scale(coeff)
+    return out
+
+
+def reference_verify_hom_rep(R):
+    """verify_hom_rep with every action of a twisted element formed anew
+    for each element and pair, from the powers of the twist."""
+    H, rho = R.algebra, R.rho_beta
+    names, dim = H.basis_names, H.dim
+    apow = [Matrix.identity(dim), H.alpha]
+    bpow = [Matrix.identity(R.dim_V), R.beta]
+
+    def twist_cases(n):
+        for i in range(dim):
+            lhs = reference_apply_rho(rho, apow[n].column(i)) @ bpow[n]
+            yield {"element": names[i]}, lhs - bpow[n] @ rho[i]
+
+    def bracket_cases(n):
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                lhs = reference_apply_rho(rho, apow[n].apply(H.c_alpha[i][j])) @ R.beta
+                rhs = (
+                    reference_apply_rho(rho, apow[n + 1].column(i))
+                    @ reference_apply_rho(rho, apow[n].column(j))
+                    - reference_apply_rho(rho, apow[n + 1].column(j))
+                    @ reference_apply_rho(rho, apow[n].column(i))
+                )
+                yield {"pair": [names[i], names[j]]}, lhs - rhs
+
+    report = VerificationReport()
+    twist = first_nonzero(twist_cases(1))
+    report.add_found("twist_compatibility", twist)
+    bracket = first_nonzero(bracket_cases(0))
+    report.add_found("bracket_compatibility", bracket)
+    if det(R.beta).is_zero():
+        return report
+    for _ in range(2):
+        apow.append(H.alpha @ apow[-1])
+        bpow.append(R.beta @ bpow[-1])
+    report.add_found("twist_power_1", twist, n=1)
+    for n in (2, 3):
+        report.sweep(f"twist_power_{n}", twist_cases(n), n=n)
+    report.add_found("bracket_power_0", bracket, n=0)
+    for n in (1, 2):
+        report.sweep(f"bracket_power_{n}", bracket_cases(n), n=n)
+    return report
+
+
+def rows_of(report):
+    return [(c.name, c.status, c.witness, c.residual) for c in report.checks]
+
+
+def bumped(rng, M):
+    """M with one entry moved by 1, L, 2 or -1/L."""
+    cells = list(M.entries)
+    k = rng.randrange(len(cells))
+    cells[k] = cells[k] + rng.choice((ONE, L, sc(2), -ONE / L))
+    return Matrix(M.rows, M.cols, tuple(cells))
+
+
+def test_verify_hom_rep_failures_match_the_per_pair_reference():
+    rng = random.Random(71)
+    failing = {"twist_power_2": 0, "bracket_power_1": 0, "bracket_power_2": 0}
+    late = 0  # bracket_power_2 fails although bracket_power_1 holds
+    for _ in range(60):
+        R = twisted_module(rng.choice((1, 2)))
+        H, rho, beta, alpha = R.algebra, list(R.rho_beta), R.beta, R.algebra.alpha
+        kind = rng.choice(("rho", "beta", "alpha", "twist_signs"))
+        if kind == "rho":
+            i = rng.randrange(3)
+            rho[i] = bumped(rng, rho[i])
+        elif kind == "beta":
+            beta = bumped(rng, beta)
+        elif kind == "alpha":
+            alpha = bumped(rng, alpha)
+        else:  # flip or rescale twist eigenvalues: some powers of the twist agree again
+            alpha = Matrix.diagonal([alpha[i, i] * rng.choice((ONE, L, -ONE)) for i in range(3)])
+        twisted = HomLieAlgebraData(H.dim, H.basis_names, H.c_alpha, alpha)
+        perturbed = HomRep(twisted, R.dim_V, tuple(rho), beta)
+        report = verify_hom_rep(perturbed)
+        assert rows_of(report) == rows_of(reference_verify_hom_rep(perturbed))
+        status = by_name(report)
+        for name in failing:
+            failing[name] += name in status and not status[name].ok
+        if "bracket_power_2" in status:
+            late += status["bracket_power_1"].ok and not status["bracket_power_2"].ok
+    assert min(failing.values()) >= 10 and late >= 1

@@ -357,3 +357,18 @@ def test_power_is_repeated_multiplication(a, k):
         return
     assert a**-k == product.inverse()
     assert (a**-k).den.leading == 1
+
+
+zero_scalars = st.sampled_from((ZERO, Scalar(Poly(())), Scalar(Poly((0, 0)), Poly((1, 1))), L - L))
+
+
+@seed(20124)
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(zero_scalars, field_elements), st.one_of(zero_scalars, field_elements))
+def test_subtraction_and_negation_with_a_zero_operand(a, b):
+    assert a - b == a + (-b)
+    assert -(-a) == a and -(-b) == b
+    if b.is_zero():
+        assert a - b is a
+    if a.is_zero():
+        assert -a is a and (a - b) == -b
