@@ -7,16 +7,26 @@ of values is plain structural equality of their representations.
 
 Representation invariants:
 
-* ``Poly``: a polynomial is ``L^low * core``, where ``core`` is a tuple
-  of ``fractions.Fraction`` ascending by degree whose first and last
-  entries are nonzero.  The zero polynomial is ``low = 0, core = ()`` and
-  has degree -1.  So ``c * L^k`` is one coefficient and one int: products
-  add the lows, ``gcd(L^a p, L^b q) = L^min(a, b) gcd(p, q)`` runs Euclid
-  on the cores only, and dividing by a monomial is a shift and a scale.
-  ``Poly.coeffs``, the full ascending tuple with the ``low`` zeros in
-  front, is built on each access for callers that index coefficients by
-  degree.  Only ``divmod`` puts the ``low`` zeros back, and the gcd and
-  the exact divisions of normalisation call it on cores alone.
+* ``Poly``: a polynomial is ``L^low * content * core``.  ``core`` is a
+  tuple of Python ints ascending by degree whose first and last entries
+  are nonzero, whose entries have no common factor (it is primitive), and
+  whose last entry is positive; ``content`` is one nonzero ``Fraction``.
+  The zero polynomial is ``low = 0, content = 0, core = ()`` and has
+  degree -1.  So ``c * L^k`` is the core ``(1,)`` with content ``c``:
+  products add the lows, multiply the contents and convolve the int
+  cores, with no coefficient gcd, since by Gauss's lemma a product of
+  primitive cores is primitive; sums put both contents over one
+  denominator and take the content back out with ``math.gcd``.  The
+  monic ``gcd(L^a p, L^b q) = L^min(a, b) gcd(p, q)`` runs the heuristic
+  gcd (GCDHEU, Char, Geddes and Gonnet 1989) on the int cores: the gcd of
+  two values at an integer point ``xi`` is interpolated back to a
+  candidate, and exact division of both cores certifies it as the
+  greatest common divisor, since ``xi >= 2 min(|p|, |q|) + 2`` in the
+  max norm.  After a few failed points a primitive remainder sequence over
+  Z gives the gcd instead.  Exact division divides the int cores over Z.
+  ``Poly.coeffs``, the full ascending tuple of ``Fraction`` coefficients
+  with the ``low`` zeros in front, is built on each access for callers that
+  index coefficients by degree.
 * ``Scalar``: ``num`` and ``den`` are ``Poly``; ``den`` is monic and
   nonzero; ``gcd(num, den) == 1``; the zero scalar is ``0/1``.
 
@@ -32,6 +42,7 @@ JSON reports) writes polynomials with descending powers of ``L``, e.g.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "DivisionByZero",
@@ -73,18 +84,112 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational coefficient")
 
 
-def _scaled(c: Fraction, core: tuple) -> tuple:
-    return core if c == 1 else tuple(c * x for x in core)
+# ---------------------------------------------------------------------------
+# integer coefficient lists, ascending by degree
+# ---------------------------------------------------------------------------
+
+def _convolve(a, b) -> list:
+    """The product of two int coefficient sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            for i, ca in enumerate(a, j):
+                out[i] += ca * cb
+    return out
+
+
+def _div_ints(a, b):
+    """a / b over Z for int sequences without end zeros, or None when b does
+    not divide a; long division from the top stops at the first inexact
+    step."""
+    top, lead, db = len(a) - len(b), b[-1], len(b) - 1
+    if top < 0 or a[0] % b[0] or a[-1] % lead:
+        return None
+    rem = list(a)
+    quot = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        q, r = divmod(rem[k + db], lead)
+        if r:
+            return None
+        if q:
+            quot[k] = q
+            for i in range(db):
+                rem[k + i] -= q * b[i]
+    return None if any(rem[:db]) else quot
+
+
+def _pseudo_divmod(a, b):
+    """(q, r) with lead(b)^e * a == q * b + r over Z and len(r) < len(b),
+    for e = len(a) - len(b) + 1 >= 1; r keeps its length, zeros and all."""
+    top, lead, db = len(a) - len(b), b[-1], len(b) - 1
+    rem = [c * lead ** (top + 1) for c in a]
+    quot = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        q = rem[k + db] // lead  # exact: rem still carries lead^(k + 1)
+        if q:
+            quot[k] = q
+            for i in range(db):
+                rem[k + i] -= q * b[i]
+    return quot, rem[:db]
+
+
+def _heuristic_gcd(a, b):
+    """gcd of two primitive int cores of degree >= 1 by GCDHEU, or None.
+
+    The gcd of a(xi) and b(xi) is read back as a polynomial in xi from its
+    balanced base-xi digits.  With xi >= 2 min(|a|, |b|) + 2 (max norm), the
+    primitive part of that candidate is the gcd exactly when it divides both
+    a and b, so the division checks make the answer exact.  Each failed xi
+    is followed by a larger one; after six the caller falls back."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        h, half, digits = gcd(va, vb), xi // 2, []
+        while h:
+            h, c = divmod(h, xi)
+            if c > half:
+                c -= xi
+                h += 1
+            digits.append(c)
+        if len(digits) == 1:
+            return (1,)
+        g = Poly._from_ints(0, digits)
+        if not g.low and _div_ints(a, g.core) is not None and _div_ints(b, g.core) is not None:
+            return g.core
+        xi = xi * 73794 // 27011 + 1
+    return None
+
+
+def _prs_gcd(a, b) -> tuple:
+    """gcd of two primitive int cores by the primitive remainder sequence;
+    L divides neither core, so each remainder drops its power of L too."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, Poly._from_ints(0, _pseudo_divmod(a, b)[1]).core
+    return b or a
+
+
+_F0, _F1 = Fraction(0), Fraction(1)
 
 
 class Poly:
-    """Univariate polynomial over Q, stored as ``L^low * core``."""
+    """Univariate polynomial over Q, stored as ``L^low * content * core``."""
 
-    __slots__ = ("low", "core")
+    __slots__ = ("low", "content", "core")
 
     def __init__(self, coeffs=()):
-        p = Poly._trim(0, [_frac(c) for c in coeffs])
+        fs = [_frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fs))
+        p = Poly._from_ints(0, [c.numerator * (den // c.denominator) for c in fs], 1, den)
         object.__setattr__(self, "low", p.low)
+        object.__setattr__(self, "content", p.content)
         object.__setattr__(self, "core", p.core)
 
     def __setattr__(self, name, value):  # immutable
@@ -93,23 +198,31 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, low: int, core: tuple) -> "Poly":
-        """L^low * core, for a core already without end zeros."""
+    def _make(cls, low: int, content: Fraction, core: tuple) -> "Poly":
+        """L^low * content * core, for a primitive core as in the invariants."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "low", low if core else 0)
+        object.__setattr__(obj, "low", low)
+        object.__setattr__(obj, "content", content)
         object.__setattr__(obj, "core", core)
         return obj
 
     @classmethod
-    def _trim(cls, low: int, cs) -> "Poly":
-        """L^low * cs, for a sequence cs that may have end zeros."""
+    def _from_ints(cls, low: int, cs: list, num: int = 1, den: int = 1) -> "Poly":
+        """L^low * (num/den) * cs, for ints cs that may have end zeros."""
         j = len(cs)
-        while j and cs[j - 1] == 0:
+        while j and not cs[j - 1]:
             j -= 1
         i = 0
-        while i < j and cs[i] == 0:
+        while i < j and not cs[i]:
             i += 1
-        return cls._make(low + i, tuple(cs[i:j]))
+        if i == j:
+            return _P_ZERO
+        cs = cs[i:j]
+        g = gcd(*cs)
+        if cs[-1] < 0:
+            g = -g
+        core = tuple(cs) if g == 1 else tuple(c // g for c in cs)
+        return cls._make(low + i, Fraction(num * g, den), core)
 
     @classmethod
     def x_pow(cls, k: int, c=1) -> "Poly":
@@ -117,14 +230,15 @@ class Poly:
         if k < 0:
             raise ValueError("x_pow exponent must be nonnegative")
         c = _frac(c)
-        return cls._make(k, (c,) if c else ())
+        return cls._make(k, c, (1,)) if c else _P_ZERO
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
         """All coefficients, ascending from L^0, built on each access."""
-        return (Fraction(0),) * self.low + self.core
+        content = self.content
+        return (_F0,) * self.low + tuple(content * c for c in self.core)
 
     @property
     def degree(self) -> int:
@@ -138,7 +252,8 @@ class Poly:
     def leading(self) -> Fraction:
         if not self.core:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.core[-1]
+        lead = self.core[-1]
+        return self.content if lead == 1 else self.content * lead
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,10 +262,11 @@ class Poly:
             isinstance(other, Poly)
             and self.low == other.low
             and self.core == other.core
+            and self.content == other.content
         )
 
     def __hash__(self):
-        return hash((self.low, self.core))
+        return hash((self.low, self.content, self.core))
 
     def __add__(self, other: "Poly") -> "Poly":
         if not other.core:
@@ -158,37 +274,37 @@ class Poly:
         if not self.core:
             return other
         a, b = (self, other) if self.low <= other.low else (other, self)
-        out = list(a.core)
+        # over one denominator d, a + b = (sa * a.core + sb * b.core) * h / d
+        na, da = a.content.numerator, a.content.denominator
+        nb, db = b.content.numerator, b.content.denominator
+        g = gcd(da, db)
+        d, sa, sb = da // g * db, na * (db // g), nb * (da // g)
+        h = gcd(sa, sb)
+        sa, sb = sa // h, sb // h
+        out = [sa * x for x in a.core] if sa != 1 else list(a.core)
         shift = b.low - a.low
-        out.extend([Fraction(0)] * (shift + len(b.core) - len(out)))
-        for i, c in enumerate(b.core, shift):
-            out[i] += c
-        return Poly._trim(a.low, out)
+        out.extend([0] * (shift + len(b.core) - len(out)))
+        for i, y in enumerate(b.core, shift):
+            out[i] += sb * y
+        return Poly._from_ints(a.low, out, h, d)
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.low, tuple(-c for c in self.core))
+        return Poly._make(self.low, -self.content, self.core) if self.core else self
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        # the end coefficients of the cores multiply to nonzero ends
         a, b = self.core, other.core
         if not a or not b:
             return _P_ZERO
-        low = self.low + other.low
         if len(a) == 1:
-            return Poly._make(low, _scaled(a[0], b))
-        if len(b) == 1:
-            return Poly._make(low, _scaled(b[0], a))
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b, i):
-                if cb != 0:
-                    out[j] += ca * cb
-        return Poly._make(low, tuple(out))
+            core = b
+        elif len(b) == 1:
+            core = a
+        else:
+            core = tuple(_convolve(a, b))
+        return Poly._make(self.low + other.low, self.content * other.content, core)
 
     def _pow(self, k: int) -> "Poly":
         """self ** k for k >= 0, by square-and-multiply."""
@@ -203,27 +319,22 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = _frac(c)
-        return Poly._make(self.low, _scaled(c, self.core)) if c else _P_ZERO
+        return Poly._make(self.low, self.content * c, self.core) if c and self.core else _P_ZERO
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        if self.is_zero():
-            return _P_ZERO, _P_ZERO
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        if dn < dd:
+        if self.degree < other.degree:
             return _P_ZERO, self
-        lead, divisor = other.leading, other.coeffs
-        quot = [Fraction(0)] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            q = rem[k + dd] / lead
-            if q != 0:
-                quot[k] = q
-                for i, c in enumerate(divisor):
-                    if c != 0:
-                        rem[k + i] -= q * c
-        return Poly(quot), Poly(rem[:dd])
+        # lead^e * a = q * b + r on the full int lists, lead = other.core[-1]
+        a = [0] * self.low + list(self.core)
+        b = [0] * other.low + list(other.core)
+        q, r = _pseudo_divmod(a, b)
+        scale = self.content / other.core[-1] ** (len(a) - len(b) + 1)
+        return (
+            Poly._from_ints(0, q).scale(scale / other.content),
+            Poly._from_ints(0, r).scale(scale),
+        )
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -232,48 +343,55 @@ class Poly:
         return divmod(self, other)[1]
 
     def _div_exact(self, other: "Poly") -> "Poly":
-        """self / other, for a divisor other of the nonzero self: the
-        lows subtract and the cores divide, a monomial by a scale alone."""
+        """self / other, for a divisor other of the nonzero self: the lows
+        subtract, the contents divide, and the primitive cores divide over Z
+        (by Gauss's lemma the quotient core is primitive too)."""
         core = self.core
         if len(other.core) > 1:
-            core = (Poly._make(0, core) // Poly._make(0, other.core)).core
-        else:
-            core = _scaled(1 / other.core[0], core)
-        return Poly._make(self.low - other.low, core)
+            core = tuple(_div_ints(core, other.core))
+        return Poly._make(self.low - other.low, self.content / other.content, core)
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.leading == 1:
             return self
-        return self.scale(1 / self.leading)
+        return Poly._make(self.low, Fraction(1, self.core[-1]), self.core)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor: L^min(a, b) gcd(p, q) for L^a p and
         L^b q, as L divides neither core.  So a constant core gives
-        L^min(a, b), and Euclid on the cores drops each remainder's L^k."""
+        L^min(a, b), and the cores' gcd is GCDHEU's, or the primitive
+        remainder sequence's when the heuristic gives up."""
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
         low = min(self.low, other.low)
-        if len(self.core) == 1 or len(other.core) == 1:
-            return Poly._make(low, (Fraction(1),))
-        a, b = Poly._make(0, self.core), Poly._make(0, other.core).monic()
-        while b.core:
-            a, b = b, Poly._make(0, (a % b).core).monic()
-        return Poly._make(low, a.core)
+        a, b = self.core, other.core
+        if len(a) == 1 or len(b) == 1:
+            return Poly._make(low, _F1, (1,))
+        if a == b:
+            g = a
+        else:
+            g = _heuristic_gcd(a, b)
+            if g is None:
+                g = _prs_gcd(a, b)
+        return Poly._make(low, Fraction(1, g[-1]), g)
 
     def eval(self, at: Fraction) -> Fraction:
-        acc = Fraction(0)
+        # sum c_i p^i q^(m - i) over the core's degrees i <= m, for at = p/q
+        p, q = at.numerator, at.denominator
+        acc, qk = 0, 1
         for c in reversed(self.core):
-            acc = acc * at + c
-        return acc * at**self.low
+            acc = acc * p + c * qk
+            qk *= q
+        return self.content * Fraction(acc, qk // q if self.core else 1) * at**self.low
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
 
-_P_ZERO = Poly(())
-_P_ONE = Poly((1,))
+_P_ZERO = Poly._make(0, _F0, ())
+_P_ONE = Poly._make(0, _F1, (1,))
 
 
 class Scalar:
@@ -313,7 +431,7 @@ class Scalar:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational constant")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return self.num.content
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -458,9 +576,9 @@ def _render_poly(p: Poly) -> str:
         return "0"
     parts = []
     for i in range(len(p.core) - 1, -1, -1):
-        c, k = p.core[i], p.low + i
-        if c == 0:
+        if not p.core[i]:
             continue
+        c, k = p.content * p.core[i], p.low + i
         if k == 0:
             body = str(abs(c))
         else:
@@ -490,6 +608,12 @@ class ScalarSyntaxError(HomLieError):
 # The expression parser recurses once per level, so this bound keeps the
 # Python stack safe whatever the input.
 MAX_NESTING = 100
+
+# Highest degree, the larger of numerator's and denominator's, that a power
+# may have when its base is not c*L^k.  A power of c*L^k only moves the
+# shift of L, but (L + 1)^k is a dense core of k + 1 coefficients with
+# k-bit entries, and every later product and gcd pays for its size.
+MAX_POWER_DEGREE = 200
 
 _GRAMMAR_PUNCT = "{}[],;=:"
 _DIGITS = "0123456789"
@@ -625,6 +749,13 @@ def parse_scalar_tokens(toks, i: int, stop_before_ident: bool = False):
             j += 1
             if exp < 0 and base.is_zero():
                 raise ScalarSyntaxError("zero to a negative power", toks[j - 1][2])
+            if len(base.num.core) > 1 or len(base.den.core) > 1:
+                degree = max(base.num.degree, base.den.degree) * abs(exp)
+                if degree > MAX_POWER_DEGREE:
+                    raise ScalarSyntaxError(
+                        f"power of degree {degree}, above the limit of {MAX_POWER_DEGREE}",
+                        toks[j - 1][2],
+                    )
             return base ** exp, j
         return base, j
 

@@ -583,6 +583,44 @@ def test_nesting_up_to_the_limit_parses(capsys):
     assert payload["outputs"]["algebra_twist"] == "1/2"
 
 
+@pytest.mark.parametrize(
+    "power, degree",
+    [("(L+1)^1000", 1000), ("((L+1)^150)^2", 300), ("((L+1)/(L-2))^-300", 300)],
+    ids=["dense-power", "nested-power", "negative-power-of-a-quotient"],
+)
+def test_high_powers_of_non_monomials_exit_2(capsys, tmp_path, power, degree):
+    from homlie.scalar import MAX_POWER_DEGREE
+
+    reason = f"power of degree {degree}, above the limit of {MAX_POWER_DEGREE}"
+    path = tmp_path / "power.hla"
+    path.write_text(f"algebra a {{ basis x, y; [x,y] = {power}*y; }}\n")
+    flag = ("sl2", "family", "finite", "--lambda", power, "--b0", "1", "--n", "2", "--verify")
+    started = time.monotonic()
+    code, error = run_error(capsys, *flag)
+    assert (code, error["type"], error["message"]) == (2, "UsageError", f"--lambda: {reason}")
+    code, error = run_error(capsys, "check", path)
+    assert (code, error["type"]) == (2, "ParseError")
+    assert error["message"].endswith(f": {reason}")
+    assert time.monotonic() - started < 1.0
+    for argv in (flag, ("check", path)):
+        done = run_subprocess(*argv)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+
+
+def test_powers_up_to_the_degree_limit_parse(capsys):
+    from homlie.scalar import MAX_POWER_DEGREE
+
+    code, payload = run_report(
+        capsys, "sl2", "family", "finite", "--lambda", f"((L+1)/(L-2))^{MAX_POWER_DEGREE}",
+        "--b0", "1", "--n", "2",
+    )
+    assert code == 0
+    twist = payload["outputs"]["algebra_twist"]  # 1/lambda = ((L-2)/(L+1))^200
+    assert twist.startswith(f"(L^{MAX_POWER_DEGREE} - ")
+    assert f")/(L^{MAX_POWER_DEGREE} + " in twist and twist.endswith(" + 1)")
+
+
 @pytest.mark.parametrize("digits", ["1" * 5000, "²"], ids=["too-long", "superscript"])
 def test_unreadable_integers_exit_2(capsys, tmp_path, digits):
     code, error = run_error(
@@ -620,7 +658,7 @@ def test_scalar_error_in_a_file_keeps_its_reason(capsys, tmp_path, scalar, colum
     assert error["message"].endswith(f": {reason}")
 
 
-# -- large powers of L ------------------------------------------------------------
+# -- large powers of L, rational-function parameters -----------------------------
 
 @pytest.mark.parametrize(
     "argv",
@@ -629,8 +667,10 @@ def test_scalar_error_in_a_file_keeps_its_reason(capsys, tmp_path, scalar, colum
          "--window", "0:24", "--verify"],
         ["sl2", "solve", "--eta0", "L", "--nu0", "2", "--mu1", "3", "--gamma0", "L",
          "--window", "0:200"],
+        ["sl2", "family", "lowest", "--tau", "1", "--lambda", "(L+1)/(L-2)", "--b0", "1",
+         "--window", "0:40", "--verify"],
     ],
-    ids=["family-lambda-L^20000", "solve-window-200"],
+    ids=["family-lambda-L^20000", "solve-window-200", "family-lambda-rational-window-40"],
 )
 def test_large_powers_of_L_stay_cheap(capsys, argv):
     started = time.monotonic()

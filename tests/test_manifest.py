@@ -9,7 +9,9 @@ solver runs carry large powers of ``L``, and variant 0 of each of the 40
 module-solves slots, whose intertwiner, weight, tensor, decomposition
 and Killing reports rest on exact elimination, plus every variant of the
 module-solves ``rep tensor`` and ``decompose`` slots, which run the worklist
-closures and the per-power module actions.  The generated inputs and a
+closures and the per-power module actions, and every variant of the
+family-windows slots with rational-function parameters such as
+``(L+1)/(L-2)``, whose normal forms rest on the heuristic gcd.  The generated inputs and a
 copy of the corpus snapshot are written under ``tmp_path``; the checkout
 is only read.
 """
@@ -97,4 +99,17 @@ def test_module_solves_tensor_and_decompose_variants_match_the_manifest(
     assert len(commands) == 52 and {c.key[-2:] for c in commands.values()} == {
         "v0", "v1", "v2", "v3"
     }
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+
+
+def test_family_windows_rational_function_variants_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["family-windows"]
+    commands = {
+        c.text: c for c in workloads.pool("family-windows")
+        if any("(" in arg for arg in c.argv)
+    }
+    slots = {int(c.key[2:-2]) for c in commands.values()}
+    assert len(commands) == 64 and slots == {19, *range(25, 37), 41, 42, 43}
     assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from homlie import scalar
 from homlie.scalar import (
     DivisionByZero,
     L,
@@ -241,7 +242,7 @@ def test_hash_agrees_with_equality_across_types():
 
 # --- differential oracle: monomials, shifted cores and powers -----------------
 #
-# Polynomials are stored as L^low * core.  The draws below put large powers
+# Polynomials are stored as L^low * content * core.  The draws below put large powers
 # of L in front of small rational functions, and every result is checked
 # against the naive dense oracle above or against plain Fraction arithmetic
 # at rational points.
@@ -372,3 +373,73 @@ def test_subtraction_and_negation_with_a_zero_operand(a, b):
         assert a - b is a
     if a.is_zero():
         assert -a is a and (a - b) == -b
+
+
+# --- the heuristic gcd on integer cores, against the dense oracle ------------
+#
+# gcd(A*G, B*G) is the monic G*gcd(A, B).  Coefficients reach 10^30 and the
+# denominators are large and differ from one coefficient to the next, so the
+# cores and their evaluation points are far from word size.
+
+big_fracs = st.builds(
+    Fraction,
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+@st.composite
+def big_polys(draw, max_degree=12):
+    """A nonzero dense list of degree up to max_degree, often with L^k in front."""
+    shift = draw(st.sampled_from((0, 0, 1, 3)))
+    body = draw(st.lists(big_fracs, min_size=1, max_size=max_degree + 1 - shift))
+    body[-1] = body[-1] or Fraction(1)
+    return [Fraction(0)] * shift + body
+
+
+def o_monic(p):
+    return [c / p[-1] for c in p]
+
+
+def check_gcd(a, b, g):
+    """gcd(A*G, B*G) is the oracle's monic G*gcd(A, B), in normal form, and
+    the exact division by it gives the oracle's quotient."""
+    ag, bg = o_mul(a, g), o_mul(b, g)
+    want = o_monic(o_mul(g, o_gcd(a, b)))
+    got = Poly(ag).gcd(Poly(bg))
+    assert got.coeffs == tuple(want) and got == Poly(want)
+    assert Poly(ag)._div_exact(got) == Poly(o_divmod(ag, want)[0])
+
+
+@seed(20161)
+@settings(max_examples=60, deadline=None)
+@given(big_polys(), big_polys(), big_polys(max_degree=8))
+def test_gcd_of_multiples_matches_the_dense_oracle(a, b, g):
+    check_gcd(a, b, g)
+    # the normal form built from the quotient agrees with the oracle's
+    quotient = Scalar(Poly(o_mul(a, g)), Poly(o_mul(b, g)))
+    assert quotient == Scalar(Poly(a), Poly(b))
+
+
+def test_gcd_falls_back_when_the_heuristic_gives_up(monkeypatch):
+    fallback_runs = []
+    prs = scalar._prs_gcd
+
+    def counted(a, b):
+        fallback_runs.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(scalar, "_heuristic_gcd", lambda a, b: None)
+    monkeypatch.setattr(scalar, "_prs_gcd", counted)
+    third, big = Fraction(1, 3), Fraction(10**30 + 7, 10**12 + 39)
+    cases = [
+        ([-1, 0, 1], [1, 2, 1], [1]),                                   # L + 1
+        ([2, 3], [5, 0, 7], [third, 1, big]),                           # coprime
+        ([1, big, 0, -third], [big, 1], [0, 0, 1, 2]),                  # L^2 in g
+        ([big, -1, third, 5, 2], [7, -third, 0, 0, 1, big], [-big, third, 1]),
+    ]
+    for a, b, g in cases:
+        a, b, g = ([Fraction(c) for c in p] for p in (a, b, g))
+        before = len(fallback_runs)
+        check_gcd(a, b, g)
+        assert len(fallback_runs) > before
