@@ -12,9 +12,9 @@ also builds, once, the sparse table ``table[i][j]`` of the pairs
 ``(k, c[i][j][k])`` with a nonzero constant; brackets, adjoint matrices,
 ideal closures and the axiom sweeps contract it.  Plain Lie
 algebras validate skew-symmetry and the Jacobi identity on
-construction; Hom-Lie data deliberately does not self-validate, since
-:func:`verify_hom_lie` exists to report exactly which axiom fails and
-where.
+construction, raising :class:`Refuted` with the report; Hom-Lie data
+deliberately does not self-validate, since :func:`verify_hom_lie`
+exists to report exactly which axiom fails and where.
 """
 
 from __future__ import annotations
@@ -40,31 +40,8 @@ from .linalg import (
     vscale,
     vzero,
 )
-from .report import VerificationReport, first_nonzero
-from .scalar import HomLieError, Scalar, ZERO, render_scalar, sc
-
-
-class NotAMorphism(HomLieError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class NotAnAutomorphism(HomLieError):
-    pass
-
-
-class NotSemisimple(HomLieError):
-    pass
-
-
-class LieAxiomError(HomLieError):
-    """Structure constants that fail skew-symmetry or the Jacobi identity."""
-
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        first = report.first_failure()
-        super().__init__(f"not a Lie algebra: {first.name} fails at {first.witness}")
+from .report import Refuted, VerificationReport, first_nonzero, render
+from .scalar import Scalar, ZERO, sc
 
 
 def _coerce_constants(dim, c):
@@ -106,7 +83,7 @@ class LieAlgebraData(_SparseTable):
         object.__setattr__(self, "c", _coerce_constants(self.dim, self.c))
         report = _lie_report(self.c, self.table, self.basis_names)
         if not report.ok:
-            raise LieAxiomError(report)
+            raise Refuted(report)
 
     @property
     def structure_constants(self):
@@ -114,9 +91,6 @@ class LieAlgebraData(_SparseTable):
 
     def bracket_basis(self, i: int, j: int):
         return self.c[i][j]
-
-    def name_index(self, name: str) -> int:
-        return self.basis_names.index(name)
 
 
 @dataclass(frozen=True)
@@ -144,9 +118,6 @@ class HomLieAlgebraData(_SparseTable):
 
     def bracket_basis(self, i: int, j: int):
         return self.c_alpha[i][j]
-
-    def name_index(self, name: str) -> int:
-        return self.basis_names.index(name)
 
 
 def skew_constants(names, brackets):
@@ -178,7 +149,7 @@ def skew_constants(names, brackets):
         i, j = to_index(a), to_index(b)
         v = to_vector(val)
         if i == j and not is_vzero(v):
-            raise LieAxiomError(_failed_report("bracket_skew", {"pair": [names[i]] * 2}))
+            raise Refuted(_failed_report("bracket_skew", {"pair": [names[i]] * 2}))
         c[i][j] = v
         c[j][i] = tuple(-x for x in v)
     return tuple(tuple(row) for row in c)
@@ -343,8 +314,10 @@ def yau_twist(Lalg: LieAlgebraData, alpha: Matrix) -> HomLieAlgebraData:
     morphism = verify_lie_morphism(Lalg, Lalg, alpha)
     if not morphism.ok:
         first = morphism.first_failure()
-        raise NotAMorphism(
-            f"twist map is not a bracket morphism ({first.name})", first.witness
+        raise Refuted.row(
+            "twist_is_bracket_morphism",
+            f"twist map is not a bracket morphism ({first.name})",
+            **first.witness,
         )
     c_alpha = tuple(
         tuple(alpha.apply(Lalg.c[i][j]) for j in range(Lalg.dim))
@@ -357,11 +330,11 @@ def yau_twist(Lalg: LieAlgebraData, alpha: Matrix) -> HomLieAlgebraData:
 
 def induced_lie_algebra(H: HomLieAlgebraData) -> LieAlgebraData:
     """Undo a regular multiplicative twist: bracket = alpha^{-1} of the
-    twisted bracket.  Raises Singular when the twist is not invertible."""
+    twisted bracket.  Refuted when the twist is not invertible."""
     try:
         ainv = inverse(H.alpha)
     except Singular:
-        raise Singular("twist is not invertible; no induced bracket") from None
+        raise Refuted.row("invertibility", "twist is not invertible; no induced bracket") from None
     c = tuple(
         tuple(ainv.apply(H.c_alpha[i][j]) for j in range(H.dim)) for i in range(H.dim)
     )
@@ -403,11 +376,11 @@ def killing_form(Lalg: LieAlgebraData) -> KillingForm:
             entries.append(sum((x * ad_j[l, k] for k, l, x in nonzero), ZERO))
     gram = Matrix(dim, dim, tuple(entries))
     if gram != gram.transpose():
-        raise LieAxiomError(_failed_report("killing_symmetry"))
+        raise Refuted(_failed_report("killing_symmetry"))
     for ad_j in ads:
         M = gram @ ad_j
         if not (M + M.transpose()).is_zero():
-            raise LieAxiomError(_failed_report("killing_invariance"))
+            raise Refuted(_failed_report("killing_invariance"))
     return KillingForm(gram)
 
 
@@ -480,7 +453,7 @@ def cyclic_sum_construction(g1: LieAlgebraData, sigma: Matrix, n: int) -> Cyclic
         raise ValueError("n must be at least 1")
     morphism = verify_lie_morphism(g1, g1, sigma)
     if not morphism.ok or det(sigma).is_zero():
-        raise NotAnAutomorphism("sigma is not an automorphism of the summand")
+        raise Refuted.row("sigma_automorphism", "sigma is not an automorphism of the summand")
     d = g1.dim
     dim = n * d
     names = tuple(f"{name}{k}" for k in range(n) for name in g1.basis_names)
@@ -578,7 +551,7 @@ def _proper_ideal(Lalg: LieAlgebraData, rng: random.Random, trials: int) -> Subs
                     proper.append(cap)
                     changed = True
     if proper:
-        return min(proper, key=lambda s: (s.dim, _subspace_key(s)))
+        return min(proper, key=lambda s: (s.dim, render(s)))
 
     # Fallback: matrices commuting with the whole adjoint action.  Any
     # eigenspace of such a matrix is an ideal; a non-scalar element with a
@@ -641,10 +614,6 @@ def rational_eigenvalues(T: Matrix):
     return sorted(roots)
 
 
-def _subspace_key(s: Subspace):
-    return tuple(tuple(render_scalar(x) for x in row) for row in s.basis)
-
-
 def decompose_simple_ideals(Lalg: LieAlgebraData, trials: int = 8, rng_seed: int = 0):
     """Split a semisimple algebra into pairwise orthogonal simple ideals.
 
@@ -655,7 +624,7 @@ def decompose_simple_ideals(Lalg: LieAlgebraData, trials: int = 8, rng_seed: int
     """
     K = killing_form(Lalg)
     if det(K.gram).is_zero():
-        raise NotSemisimple("degenerate trace form")
+        raise Refuted.row("semisimple", "degenerate trace form")
     rng = random.Random(rng_seed)
 
     def split(sub_l: LieAlgebraData):
@@ -705,16 +674,16 @@ def decompose_simple_ideals(Lalg: LieAlgebraData, trials: int = 8, rng_seed: int
     for piece in pieces:
         w = ideal_closure(Lalg, piece)
         if w.subspace != piece or not w.closed_under_bracket:
-            raise NotSemisimple("internal error: piece is not an ideal")
+            raise Refuted.row("semisimple", "internal error: piece is not an ideal")
         total = total.add(piece)
         dims += piece.dim
     if dims != Lalg.dim or not total.is_full():
-        raise NotSemisimple("ideals do not fill the algebra")
+        raise Refuted.row("semisimple", "ideals do not fill the algebra")
     for a in range(len(pieces)):
         for b in range(a + 1, len(pieces)):
             for u in pieces[a].basis:
                 gu = K.gram.apply(u)
                 for v in pieces[b].basis:
                     if not vdot(gu, v).is_zero():
-                        raise NotSemisimple("pieces are not orthogonal")
-    return sorted(pieces, key=_subspace_key)
+                        raise Refuted.row("semisimple", "pieces are not orthogonal")
+    return sorted(pieces, key=render)

@@ -30,10 +30,6 @@ from pathlib import Path
 from . import __version__
 from .algebra import (
     HomLieAlgebraData,
-    LieAxiomError,
-    NotAMorphism,
-    NotAnAutomorphism,
-    NotSemisimple,
     cyclic_sum_construction,
     decompose_simple_ideals,
     induced_lie_algebra,
@@ -54,20 +50,17 @@ from .dsl import (
     rep_matrices,
     to_lie_algebra,
 )
-from .linalg import Matrix, ShapeMismatch, Singular, Subspace, det, unvec
+from .linalg import Matrix, ShapeMismatch, Subspace, det, unvec
 from .rep import (
-    AxiomFailure,
-    CompatibilityFailure,
     HomRep,
     LieRep,
-    NoInvertibleSolution,
     pick_invertible,
     solve_intertwiner,
     tensor_hom_rep,
     verify_hom_rep,
 )
-from .report import VerificationReport
-from .scalar import Scalar, ScalarSyntaxError, parse_scalar, render_scalar, sc
+from .report import Refuted, VerificationReport, render
+from .scalar import RenderLimit, Scalar, ScalarSyntaxError, parse_scalar, sc
 from .sl2 import (
     InvalidParams,
     Sl2FamilyParams,
@@ -75,14 +68,7 @@ from .sl2 import (
     solve_general_parameters,
     verify_family_window,
 )
-from .weights import (
-    CartanData,
-    Incomplete,
-    NotCommuting,
-    NotASubalgebra,
-    classify_weight_module,
-    weight_decomposition,
-)
+from .weights import CartanData, classify_weight_module, weight_decomposition
 
 
 class UsageError(Exception):
@@ -95,63 +81,20 @@ _USAGE_ERRORS = (
     ParseError,
     ResolutionError,
     ScalarSyntaxError,
+    RenderLimit,
     InvalidParams,
     ShapeMismatch,
     OSError,
     UnicodeDecodeError,
 )
 
-# Mathematical findings: the question was well-posed and the answer is "no".
-# Each maps to the name of the check it falsifies.
-_DOMAIN_CHECK_NAMES = {
-    LieAxiomError: None,  # carries its own report
-    AxiomFailure: "bracket_action",
-    CompatibilityFailure: "twist_compatibility",
-    NotAMorphism: "twist_is_bracket_morphism",
-    NotAnAutomorphism: "sigma_automorphism",
-    NotSemisimple: "semisimple",
-    Singular: "invertibility",
-    NoInvertibleSolution: "invertible_intertwiner",
-    Incomplete: "decomposition_complete",
-    NotCommuting: "cartan_commutes",
-    NotASubalgebra: "positive_part_closed",
-}
-_DOMAIN_ERRORS = tuple(_DOMAIN_CHECK_NAMES)
-
-
-def _failure_report(exc) -> VerificationReport:
-    if isinstance(exc, LieAxiomError):
-        return exc.report
-    report = VerificationReport()
-    name = next(n for t, n in _DOMAIN_CHECK_NAMES.items() if isinstance(exc, t))
-    witness = {"message": str(exc)}
-    extra = getattr(exc, "witness", None)
-    if isinstance(extra, dict):
-        witness.update(extra)
-    report.add(name, False, witness=witness)
-    return report
-
-
-def _jsonable(x):
-    if isinstance(x, Scalar):
-        return render_scalar(x)
-    if isinstance(x, Matrix):
-        return [[render_scalar(x[i, j]) for j in range(x.cols)] for i in range(x.rows)]
-    if isinstance(x, Subspace):
-        return [[render_scalar(v) for v in row] for row in x.basis]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
 
 def _check_row(check):
     row = {"name": check.name, "status": check.status}
     if check.witness is not None:
-        row["witness"] = _jsonable(check.witness)
+        row["witness"] = check.witness
     if check.residual is not None:
-        row["residual"] = _jsonable(check.residual)
+        row["residual"] = check.residual
     return row
 
 
@@ -203,7 +146,8 @@ def _hom_algebra_from(doc, adef) -> HomLieAlgebraData:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (args, Document|None) -> (VerificationReport, outputs)
+# command handlers: (args, Document|None) -> (VerificationReport, outputs);
+# outputs may hold scalars, matrices and subspaces, rendered once by main
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args, doc):
@@ -244,7 +188,7 @@ def _cmd_twist(args, doc):
     report.merge(verify_hom_lie(H))
     outputs = {
         "algebra": adef.name,
-        "twist": _jsonable(alpha),
+        "twist": alpha,
         "twisted_brackets": _rendered_brackets(H),
     }
     if args.induced:
@@ -266,8 +210,8 @@ def _cmd_killing(args, doc):
     outputs = {
         "algebra": args.lie,
         "basis": list(A.basis_names),
-        "gram": _jsonable(K.gram),
-        "det": render_scalar(d),
+        "gram": K.gram,
+        "det": d,
         "nondegenerate": not d.is_zero(),
     }
     return report, outputs
@@ -286,7 +230,7 @@ def _cmd_decompose(args, doc):
     outputs = {
         "algebra": args.lie,
         "seed": seed,
-        "ideals": [{"dim": p.dim, "basis": _jsonable(p)} for p in pieces],
+        "ideals": [{"dim": p.dim, "basis": p} for p in pieces],
     }
     return report, outputs
 
@@ -310,7 +254,7 @@ def _cmd_cyclic(args, doc):
     outputs = {
         "dim": construction.algebra.dim,
         "basis": list(construction.algebra.basis_names),
-        "alpha": _jsonable(construction.alpha),
+        "alpha": construction.alpha,
         "twisted_brackets": _rendered_brackets(H),
     }
     return report, outputs
@@ -320,7 +264,7 @@ def _module_from(doc, rdef, adef):
     """The classical module, or the Hom-module when the rep has a beta row."""
     rho = rep_matrices(adef, rdef)
     if rdef.beta is None:
-        return LieRep(to_lie_algebra(adef), rdef.dim, rho)  # raises AxiomFailure
+        return LieRep(to_lie_algebra(adef), rdef.dim, rho)  # may raise Refuted
     return HomRep(_hom_algebra_from(doc, adef), rdef.dim, rho, rdef.beta)
 
 
@@ -351,20 +295,19 @@ def _cmd_rep_intertwiner(args, doc):
     space = solve_intertwiner(R, morphism_matrix(adef, mdef))
     report = VerificationReport()
     report.add("intertwiner_space", True, witness={"dimension": space.dim})
-    mats = [unvec(row, rdef.dim, rdef.dim) for row in space.basis]
     outputs = {
         "rep": rdef.name,
         "morphism": mdef.name,
         "dimension": space.dim,
-        "basis_matrices": [_jsonable(m) for m in mats],
+        "basis_matrices": [unvec(row, rdef.dim, rdef.dim) for row in space.basis],
     }
     try:
         chosen = pick_invertible(space, rdef.dim)
-    except NoInvertibleSolution as exc:
-        report.add("invertible_intertwiner", False, witness={"message": str(exc)})
+    except Refuted as exc:
+        report.merge(exc.report)
     else:
         report.add("invertible_intertwiner", True)
-        outputs["invertible"] = _jsonable(chosen)
+        outputs["invertible"] = chosen
     return report, outputs
 
 
@@ -414,8 +357,8 @@ def _cmd_rep_tensor(args, doc):
         "reps": names,
         "algebra_dim": construction.algebra.dim,
         "dim_V": R.dim_V,
-        "stage_maps": [_jsonable(b) for b in betas],
-        "beta": _jsonable(R.beta),
+        "stage_maps": betas,
+        "beta": R.beta,
     }
     return report, outputs
 
@@ -444,27 +387,24 @@ def _cmd_sl2_family(args, doc):
     table = [
         {
             "index": i,
-            "e": render_scalar(M.actions["e"][i]),
-            "f": render_scalar(M.actions["f"][i]),
-            "h": render_scalar(M.actions["h"][i]),
-            "beta": render_scalar(M.beta_diag[i]),
+            "e": M.actions["e"][i],
+            "f": M.actions["f"][i],
+            "h": M.actions["h"][i],
+            "beta": M.beta_diag[i],
         }
         for i in range(lo, hi + 1)
     ]
     outputs = {
         "kind": kind_name,
         "window": [lo, hi],
-        "algebra_twist": render_scalar(M.twist_lambda),
+        "algebra_twist": M.twist_lambda,
         "table": table,
     }
     return report, outputs
 
 
 def _sequence(values: dict):
-    return [
-        {"index": i, "value": None if values[i] is None else render_scalar(values[i])}
-        for i in sorted(values)
-    ]
+    return [{"index": i, "value": values[i]} for i in sorted(values)]
 
 
 def _cmd_sl2_solve(args, doc):
@@ -480,7 +420,7 @@ def _cmd_sl2_solve(args, doc):
     report.merge(ansatz.report)
     outputs = {
         "window": [ansatz.window[0], ansatz.window[1]],
-        "lambda": render_scalar(ansatz.lam),
+        "lambda": ansatz.lam,
         "eta": _sequence(ansatz.eta),
         "nu": _sequence(ansatz.nu),
         "products": _sequence(ansatz.products),
@@ -714,20 +654,21 @@ def main(argv=None) -> int:
             doc = parse_document(data.decode("utf-8"))
         if getattr(args, "seed", None) is not None:
             inputs["seed"] = args.seed
-        report, outputs = args.handler(args, doc)
+        try:
+            report, outputs = args.handler(args, doc)
+        except Refuted as exc:
+            report, outputs = exc.report, {}
+        payload = render({
+            "tool_version": __version__,
+            "command": args.command_name,
+            "inputs": inputs,
+            "checks": [_check_row(c) for c in report.checks],
+            "outputs": outputs,
+        })
     except _USAGE_ERRORS as exc:
         _print_error(exc)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        report, outputs = _failure_report(exc), {}
 
-    payload = {
-        "tool_version": __version__,
-        "command": args.command_name,
-        "inputs": inputs,
-        "checks": [_check_row(c) for c in report.checks],
-        "outputs": _jsonable(outputs),
-    }
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(f"{args.command_name}: {report.summary()}", file=sys.stderr)
     return 0 if report.ok else 1

@@ -65,11 +65,11 @@ class Matrix:
     def from_rows(cls, rows) -> "Matrix":
         rows = [_coerce_row(r) for r in rows]
         if not rows:
-            return cls(0, 0, ())
+            return cls._of(0, 0, ())
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ShapeMismatch("ragged rows")
-        return cls(len(rows), n, tuple(x for r in rows for x in r))
+        return cls._of(len(rows), n, tuple(x for r in rows for x in r))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -83,7 +83,8 @@ class Matrix:
     def diagonal(cls, diag) -> "Matrix":
         diag = _coerce_row(diag)
         n = len(diag)
-        return cls(n, n, tuple(diag[i] if i == j else ZERO for i in range(n) for j in range(n)))
+        entries = tuple(diag[i] if i == j else ZERO for i in range(n) for j in range(n))
+        return cls._of(n, n, entries)
 
     @classmethod
     def from_columns(cls, cols) -> "Matrix":
@@ -292,13 +293,6 @@ def _rref_rows(rows):
     return rank, pivots
 
 
-def rref(A: Matrix):
-    """Reduced row echelon form of A; returns (R, rank, pivot columns)."""
-    rows = A.to_rows()
-    rank, pivots = _rref_rows(rows)
-    return Matrix.from_rows(rows), rank, pivots
-
-
 def rref_nullspace(A: Matrix):
     """Rank and (right) nullspace of A, the latter as a Subspace.
 
@@ -379,7 +373,7 @@ def unvec(v, rows: int, cols: int) -> Matrix:
     v = _coerce_row(v)
     if len(v) != rows * cols:
         raise ShapeMismatch(f"vector of length {len(v)} is not {rows}x{cols}")
-    return Matrix(rows, cols, tuple(v[j * rows + i] for i in range(rows) for j in range(cols)))
+    return Matrix._of(rows, cols, tuple(v[j * rows + i] for i in range(rows) for j in range(cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .algebra import (
     HomLieAlgebraData,
     LieAlgebraData,
     induced_lie_algebra,
-    verify_lie_morphism,
     yau_twist,
 )
 from .linalg import (
@@ -40,24 +39,8 @@ from .linalg import (
     solve_commutant,
     unvec,
 )
-from .report import VerificationReport, first_nonzero
-from .scalar import HomLieError, ZERO, sc
-
-
-class AxiomFailure(HomLieError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class CompatibilityFailure(HomLieError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class NoInvertibleSolution(HomLieError):
-    pass
+from .report import Refuted, VerificationReport, first_nonzero
+from .scalar import ZERO, sc
 
 
 def _apply_rho(rho, vector) -> Matrix:
@@ -112,9 +95,10 @@ class LieRep:
                 lhs = _apply_rho(rho, self.algebra.c[i][j])
                 rhs = rho[i] @ rho[j] - rho[j] @ rho[i]
                 if lhs != rhs:
-                    raise AxiomFailure(
+                    raise Refuted.row(
+                        "bracket_action",
                         "action does not respect the bracket",
-                        witness={"pair": [names[i], names[j]]},
+                        pair=[names[i], names[j]],
                     )
 
 
@@ -197,7 +181,7 @@ def lie_rep_from_hom(R: HomRep) -> LieRep:
     try:
         binv = inverse(R.beta)
     except Singular:
-        raise Singular("beta is not invertible; no classical module") from None
+        raise Refuted.row("invertibility", "beta is not invertible; no classical module") from None
     base = induced_lie_algebra(R.algebra)
     rho = tuple(binv @ m for m in R.rho_beta)
     return LieRep(base, R.dim_V, rho)  # constructor re-checks the Lie axiom
@@ -208,9 +192,10 @@ def hom_rep_from_lie(R: LieRep, alpha: Matrix, beta: Matrix) -> HomRep:
     twisted algebra.  beta must intertwine the action with alpha."""
     bad = _not_intertwined(R.rho, alpha, beta, R.algebra.basis_names)
     if bad is not None:
-        raise CompatibilityFailure(
+        raise Refuted.row(
+            "twist_compatibility",
             "beta does not intertwine the action with the twist",
-            witness={"element": bad},
+            element=bad,
         )
     H = yau_twist(R.algebra, alpha)
     rho_beta = tuple(beta @ m for m in R.rho)
@@ -239,7 +224,9 @@ def pick_invertible(space: Subspace, dim_V: int) -> Matrix:
             cand = cand + m.scale(sc(w**j))
         if not cand.is_zero() and not det(cand).is_zero():
             return cand
-    raise NoInvertibleSolution("no invertible element found in the solution space")
+    raise Refuted.row(
+        "invertible_intertwiner", "no invertible element found in the solution space"
+    )
 
 
 def _block_diagonal(mats) -> Matrix:
@@ -276,12 +263,14 @@ def tensor_hom_rep(reps, betas, construction: CyclicSum) -> HomRep:
         if beta_k.rows != rep.dim_V or beta_k.cols != rep.dim_V:
             raise ShapeMismatch(f"stage map {k} does not match its module")
         if det(beta_k).is_zero():
-            raise Singular(f"stage map {k} is not invertible")
+            raise Refuted.row("invertibility", f"stage map {k} is not invertible")
         bad = _not_intertwined(rep.rho, sigma, beta_k, g1.basis_names)
         if bad is not None:
-            raise CompatibilityFailure(
+            raise Refuted.row(
+                "twist_compatibility",
                 "stage map does not intertwine its module with sigma",
-                witness={"stage": k, "element": bad},
+                stage=k,
+                element=bad,
             )
 
     dims = [rep.dim_V for rep in reps]

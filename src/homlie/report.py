@@ -4,7 +4,10 @@ Every verifier in the library returns a :class:`VerificationReport`
 instead of raising on mathematical failure, so callers (and the CLI)
 can see which axiom broke, where, and by how much.  A check's status is
 ``pass``, ``fail``, or ``probe-pass`` — the last is reserved for
-Monte-Carlo verdicts that were sampled rather than proven.
+Monte-Carlo verdicts that were sampled rather than proven.  A
+construction that cannot return its object (an action that breaks the
+bracket, a twist that is not a morphism, a degenerate trace form) raises
+:class:`Refuted` instead, which carries the report of the failed check.
 
 Most checks are first-failure sweeps, written with
 :meth:`VerificationReport.sweep`.  Its ``cases`` yield ``(witness,
@@ -12,7 +15,8 @@ residual)`` pairs in a fixed order, each residual a scalar, coordinate
 vector or matrix that vanishes exactly when its case holds.  The walk
 stops at the first nonzero residual and the row fails with that witness
 and the residual rendered canonically (a string, a list of strings, or a
-list of rows); a row with no failing case passes with neither.
+list of rows, see :func:`render`); a row with no failing case passes
+with neither.
 :func:`first_nonzero` and :meth:`VerificationReport.add_found` are the
 two halves of a sweep, for a failure that is reported twice or reshaped.
 """
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Matrix
-from .scalar import Scalar, render_scalar
+from .linalg import Matrix, Subspace
+from .scalar import HomLieError, Scalar, render_scalar
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,16 +45,20 @@ def first_nonzero(cases):
     return next(((w, r) for w, r in cases if not _vanishes(r)), None)
 
 
-def _render_residual(residual):
-    """Canonical text of a scalar, a coordinate vector or a matrix."""
-    if isinstance(residual, Scalar):
-        return render_scalar(residual)
-    if isinstance(residual, Matrix):
-        return [
-            [render_scalar(residual[i, j]) for j in range(residual.cols)]
-            for i in range(residual.rows)
-        ]
-    return [render_scalar(x) for x in residual]
+def render(x):
+    """Canonical JSON form: a scalar as its text, a matrix as its rows, a
+    subspace as its basis rows; dicts, lists and tuples entry by entry."""
+    if isinstance(x, Scalar):
+        return render_scalar(x)
+    if isinstance(x, Matrix):
+        return [render(x.row(i)) for i in range(x.rows)]
+    if isinstance(x, Subspace):
+        return render(x.basis)
+    if isinstance(x, dict):
+        return {str(k): render(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [render(v) for v in x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class VerificationReport:
         if hit is None:
             return self.add(name, True)
         witness, residual = hit
-        return self.add(name, False, {**witness, **extra}, _render_residual(residual))
+        return self.add(name, False, {**witness, **extra}, render(residual))
 
     def merge(self, other: "VerificationReport", prefix: str = ""):
         for c in other.checks:
@@ -108,3 +116,20 @@ class VerificationReport:
         if bad == 0:
             return f"{n} checks: all pass"
         return f"{n} checks: {bad} FAILED ({', '.join(c.name for c in self.failures()[:4])})"
+
+
+class Refuted(HomLieError):
+    """A construction the mathematics refutes; ``report`` holds the
+    failed check, with its witness."""
+
+    def __init__(self, report: VerificationReport):
+        self.report = report
+        first = report.first_failure()
+        super().__init__(f"{first.name} fails at {first.witness}")
+
+    @classmethod
+    def row(cls, name: str, message: str, **witness) -> "Refuted":
+        """One failed row whose witness is the message and ``witness``."""
+        report = VerificationReport()
+        report.add(name, False, {"message": message, **witness})
+        return cls(report)

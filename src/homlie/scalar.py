@@ -41,6 +41,7 @@ JSON reports) writes polynomials with descending powers of ``L``, e.g.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,8 +49,8 @@ __all__ = [
     "DivisionByZero",
     "PoleAtPoint",
     "Poly",
+    "RenderLimit",
     "Scalar",
-    "Rational",
     "ZERO",
     "ONE",
     "L",
@@ -58,9 +59,6 @@ __all__ = [
     "parse_scalar",
     "render_scalar",
 ]
-
-Rational = Fraction
-
 
 class HomLieError(Exception):
     """Base class for the library's typed errors."""
@@ -72,6 +70,10 @@ class DivisionByZero(HomLieError):
 
 class PoleAtPoint(HomLieError):
     """Evaluation of a scalar at a rational point where its denominator vanishes."""
+
+
+class RenderLimit(HomLieError):
+    """A coefficient longer than the interpreter allows an integer's text to be."""
 
 
 def _frac(x) -> Fraction:
@@ -336,12 +338,6 @@ class Poly:
             Poly._from_ints(0, r).scale(scale),
         )
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def _div_exact(self, other: "Poly") -> "Poly":
         """self / other, for a divisor other of the nonzero self: the lows
         subtract, the contents divide, and the primitive cores divide over Z
@@ -592,10 +588,20 @@ def _render_poly(p: Poly) -> str:
 
 
 def render_scalar(s: Scalar) -> str:
-    """Canonical text: descending powers of L, `(num)/(den)` when den != 1."""
-    if s.den == _P_ONE:
-        return _render_poly(s.num)
-    return f"({_render_poly(s.num)})/({_render_poly(s.den)})"
+    """Canonical text: descending powers of L, `(num)/(den)` when den != 1.
+
+    Raises RenderLimit rather than lift the interpreter's limit on the
+    digits of an integer's text, which would let a small input buy
+    unbounded work."""
+    try:
+        if s.den == _P_ONE:
+            return _render_poly(s.num)
+        return f"({_render_poly(s.num)})/({_render_poly(s.den)})"
+    except ValueError:
+        raise RenderLimit(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for the text of an integer"
+        ) from None
 
 
 class ScalarSyntaxError(HomLieError):

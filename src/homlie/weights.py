@@ -13,8 +13,8 @@ rational root search), and lift every specialized eigenvalue to a
 c*L^k candidate that is consistent across all usable points.  Lifted
 candidates are only kept if the symbolic eigen-equation has a nonzero
 nullspace, so over-generation is harmless.  If the resulting spaces do
-not fill the ambient space, the decomposition fails loudly
-(``Incomplete``) rather than truncating.
+not fill the ambient space, the decomposition fails loudly (``Refuted``,
+row ``decomposition_complete``) rather than truncating.
 
 The weak/strong classification asks one containment question per
 weight space: does the module's compatibility map carry it into some
@@ -30,27 +30,8 @@ from fractions import Fraction
 from .algebra import ad_matrix, bracket_apply, rational_eigenvalues
 from .linalg import Matrix, ShapeMismatch, Subspace, is_vzero, rref_nullspace
 from .rep import _apply_rho
-from .scalar import (
-    HomLieError,
-    L,
-    PoleAtPoint,
-    ZERO,
-    render_scalar,
-    sc,
-    scalar_eval,
-)
-
-
-class Incomplete(HomLieError):
-    pass
-
-
-class NotCommuting(HomLieError):
-    pass
-
-
-class NotASubalgebra(HomLieError):
-    pass
+from .report import Refuted, render
+from .scalar import L, PoleAtPoint, ZERO, render_scalar, sc, scalar_eval
 
 
 @dataclass(frozen=True)
@@ -66,16 +47,10 @@ class RootDecomposition:
     zero_part: Subspace
 
     def as_json(self):
-        return {
-            "zero_part": _render_basis(self.zero_part),
-            "roots": [
-                {
-                    "functional": [render_scalar(x) for x in functional],
-                    "space": _render_basis(space),
-                }
-                for functional, space in self.roots
-            ],
-        }
+        return render({
+            "zero_part": self.zero_part,
+            "roots": [{"functional": f, "space": space} for f, space in self.roots],
+        })
 
 
 @dataclass(frozen=True)
@@ -84,19 +59,9 @@ class WeightDecomposition:
     weights: tuple  # of (functional: tuple of Scalar, space: Subspace)
 
     def as_json(self):
-        return {
-            "weights": [
-                {
-                    "functional": [render_scalar(x) for x in functional],
-                    "space": _render_basis(space),
-                }
-                for functional, space in self.weights
-            ]
-        }
-
-
-def _render_basis(space: Subspace):
-    return [[render_scalar(x) for x in row] for row in space.basis]
+        return render({
+            "weights": [{"functional": f, "space": space} for f, space in self.weights]
+        })
 
 
 def _check_commuting(algebra, h_basis: Subspace):
@@ -106,7 +71,7 @@ def _check_commuting(algebra, h_basis: Subspace):
     for i, u in enumerate(basis):
         for w in basis[i:]:
             if not is_vzero(bracket_apply(algebra, u, w)):
-                raise NotCommuting("supplied h-subspace is not abelian")
+                raise Refuted.row("cartan_commutes", "supplied h-subspace is not abelian")
 
 
 def _specialized(M: Matrix, a: Fraction) -> Matrix:
@@ -125,7 +90,10 @@ def _lift_candidates(M: Matrix):
             continue
         per_point[a] = set(rational_eigenvalues(Ma))
     if not per_point:
-        raise Incomplete("action matrix has poles at every specialization point")
+        raise Refuted.row(
+            "decomposition_complete",
+            "action matrix has poles at every specialization point",
+        )
     found = {}
     for a, values in per_point.items():
         for v in values:
@@ -183,15 +151,17 @@ def _collect(mats, functionals, dim):
             stacked.append(v)
             for M, s in zip(mats, functional):
                 if M.apply(v) != tuple(s * x for x in v):
-                    raise Incomplete("eigen-equation audit failed")  # pragma: no cover
+                    raise Refuted.row(  # pragma: no cover
+                        "decomposition_complete", "eigen-equation audit failed"
+                    )
     if Subspace(dim, stacked).dim != sum(space.dim for _, space in pieces):
-        raise Incomplete("candidate spaces overlap")
+        raise Refuted.row("decomposition_complete", "candidate spaces overlap")
     return pieces
 
 
 def root_decomposition(C: CartanData, candidates=None) -> RootDecomposition:
     """Cut the algebra into the zero part and joint ad-eigenspaces for
-    nonzero functionals; fail with Incomplete if dimensions don't sum."""
+    nonzero functionals; Refuted if the dimensions don't sum."""
     algebra = C.algebra
     _check_commuting(algebra, C.h_basis)
     mats = [ad_matrix(algebra, h) for h in C.h_basis.basis]
@@ -201,7 +171,8 @@ def root_decomposition(C: CartanData, candidates=None) -> RootDecomposition:
     roots = _collect(mats, nonzero, algebra.dim)
     total = zero_part.dim + sum(space.dim for _, space in roots)
     if total != algebra.dim:
-        raise Incomplete(
+        raise Refuted.row(
+            "decomposition_complete",
             f"root spaces cover dimension {total} of {algebra.dim}; "
             "supply more candidates"
         )
@@ -209,7 +180,7 @@ def root_decomposition(C: CartanData, candidates=None) -> RootDecomposition:
     for _, space in roots:
         all_vecs.extend(space.basis)
     if Subspace(algebra.dim, all_vecs).dim != algebra.dim:  # pragma: no cover
-        raise Incomplete("zero part overlaps a root space")
+        raise Refuted.row("decomposition_complete", "zero part overlaps a root space")
     return RootDecomposition(C, tuple(roots), zero_part)
 
 
@@ -228,7 +199,8 @@ def weight_decomposition(R, C: CartanData, candidates=None) -> WeightDecompositi
     weights = _collect(mats, functionals, R.dim_V)
     total = sum(space.dim for _, space in weights)
     if total != R.dim_V:
-        raise Incomplete(
+        raise Refuted.row(
+            "decomposition_complete",
             f"weight spaces cover dimension {total} of {R.dim_V}; "
             "supply more candidates"
         )
@@ -261,7 +233,9 @@ def highest_weight_vector_check(R, positive_part: Subspace, v, cartan=None) -> b
     for i, u in enumerate(basis):
         for w in basis[i:]:
             if not positive_part.contains_vector(bracket_apply(algebra, u, w)):
-                raise NotASubalgebra("positive part is not closed under the bracket")
+                raise Refuted.row(
+                    "positive_part_closed", "positive part is not closed under the bracket"
+                )
     v = tuple(sc(x) for x in v)
     if is_vzero(v):
         return False

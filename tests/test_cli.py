@@ -678,3 +678,25 @@ def test_large_powers_of_L_stay_cheap(capsys, argv):
     assert time.monotonic() - started < 5.0
     assert code == 0
     assert {c["status"] for c in payload["checks"]} == {"pass"}
+
+
+# -- values too long to render -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sl2", "family", "lowest", "--tau", "0", "--lambda", "1000", "--b0", "1",
+         "--window", "0:1600"],
+        ["sl2", "family", "finite", "--lambda", "2^20000", "--b0", "1", "--n", "2",
+         "--verify"],
+    ],
+    ids=["table-entry-1000^1600", "algebra-twist-2^20000"],
+)
+def test_a_value_past_the_render_limit_is_an_input_error(argv):
+    done = run_subprocess(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["type"] == "RenderLimit"
+    assert f"more than {sys.get_int_max_str_digits()} digits" in error["message"]

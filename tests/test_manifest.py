@@ -1,19 +1,16 @@
-"""Golden replay: benchmark pool commands, in-process, against the manifest.
+"""Golden replay: the whole benchmark pool, in-process, against the manifest.
 
 ``perfbench/manifest.json`` holds the exit code each pool command must
 return (fixed when the command is generated) and the sha256 of its
 report.  Running commands through ``cli.main`` and comparing both pins
-every byte of those reports: the 504 distinct cli-corpus commands,
-variant 0 of each of the 44 family-windows slots, whose sl2 tables and
-solver runs carry large powers of ``L``, and variant 0 of each of the 40
-module-solves slots, whose intertwiner, weight, tensor, decomposition
-and Killing reports rest on exact elimination, plus every variant of the
-module-solves ``rep tensor`` and ``decompose`` slots, which run the worklist
-closures and the per-power module actions, and every variant of the
-family-windows slots with rational-function parameters such as
-``(L+1)/(L-2)``, whose normal forms rest on the heuristic gcd.  The generated inputs and a
-copy of the corpus snapshot are written under ``tmp_path``; the checkout
-is only read.
+every byte of those reports, and every report is rendered through one
+function, so each workload's pool is replayed in full: the 504 distinct
+cli-corpus commands, the 176 family-windows commands, whose sl2 tables
+and solver runs carry large powers of ``L`` and rational-function
+parameters such as ``(L+1)/(L-2)``, and the 160 module-solves commands,
+whose intertwiner, weight, tensor, decomposition and Killing reports rest
+on exact elimination.  The generated inputs and a copy of the corpus
+snapshot are written under ``tmp_path``; the checkout is only read.
 """
 
 import hashlib
@@ -59,57 +56,31 @@ def replay(workloads, commands, expected, tmp_path, monkeypatch, capsys):
     return wrong
 
 
+def replay_pool(workload, workloads, manifest, tmp_path, monkeypatch, capsys):
+    """Every distinct command of the workload's pool, replayed; the count
+    of commands and the mismatches."""
+    expected = manifest[workload]
+    commands = {c.text: c for c in workloads.pool(workload)}
+    assert len(commands) == len(expected)
+    return len(commands), replay(workloads, commands, expected, tmp_path, monkeypatch, capsys)
+
+
 def test_cli_corpus_reports_match_the_manifest(
     workloads, manifest, tmp_path, monkeypatch, capsys
 ):
-    expected = manifest["cli-corpus"]
-    commands = {c.text: c for c in workloads.pool("cli-corpus")}
-    assert len(commands) == len(expected) == 504
-    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+    args = workloads, manifest, tmp_path, monkeypatch, capsys
+    assert replay_pool("cli-corpus", *args) == (504, [])
 
 
 def test_family_windows_reports_match_the_manifest(
     workloads, manifest, tmp_path, monkeypatch, capsys
 ):
-    expected = manifest["family-windows"]
-    pool = workloads.pool("family-windows")
-    commands = {c.text: c for c in pool if c.key.endswith("v0")}
-    assert len(pool) == len(expected) == 176 and len(commands) == 44
-    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+    args = workloads, manifest, tmp_path, monkeypatch, capsys
+    assert replay_pool("family-windows", *args) == (176, [])
 
 
 def test_module_solves_reports_match_the_manifest(
     workloads, manifest, tmp_path, monkeypatch, capsys
 ):
-    expected = manifest["module-solves"]
-    pool = workloads.pool("module-solves")
-    commands = {c.text: c for c in pool if c.key.endswith("v0")}
-    assert len(pool) == len(expected) == 160 and len(commands) == 40
-    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
-
-
-def test_module_solves_tensor_and_decompose_variants_match_the_manifest(
-    workloads, manifest, tmp_path, monkeypatch, capsys
-):
-    expected = manifest["module-solves"]
-    commands = {
-        c.text: c for c in workloads.pool("module-solves")
-        if c.argv[0] == "decompose" or c.argv[:2] == ("rep", "tensor")
-    }
-    assert len(commands) == 52 and {c.key[-2:] for c in commands.values()} == {
-        "v0", "v1", "v2", "v3"
-    }
-    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
-
-
-def test_family_windows_rational_function_variants_match_the_manifest(
-    workloads, manifest, tmp_path, monkeypatch, capsys
-):
-    expected = manifest["family-windows"]
-    commands = {
-        c.text: c for c in workloads.pool("family-windows")
-        if any("(" in arg for arg in c.argv)
-    }
-    slots = {int(c.key[2:-2]) for c in commands.values()}
-    assert len(commands) == 64 and slots == {19, *range(25, 37), 41, 42, 43}
-    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+    args = workloads, manifest, tmp_path, monkeypatch, capsys
+    assert replay_pool("module-solves", *args) == (160, [])

@@ -11,13 +11,10 @@ from homlie.algebra import (
     lie_algebra,
     yau_twist,
 )
-from homlie.linalg import Matrix, ShapeMismatch, Singular, Subspace, det, kronecker, vec
+from homlie.linalg import Matrix, ShapeMismatch, Subspace, det, kronecker, vec
 from homlie.rep import (
-    AxiomFailure,
-    CompatibilityFailure,
     HomRep,
     LieRep,
-    NoInvertibleSolution,
     conjugacy_relation,
     hom_rep_from_lie,
     kernel_image_submodules,
@@ -29,7 +26,7 @@ from homlie.rep import (
     tensor_hom_rep,
     verify_hom_rep,
 )
-from homlie.report import VerificationReport, first_nonzero
+from homlie.report import Refuted, VerificationReport, first_nonzero
 from homlie.scalar import L, ONE, ZERO, sc
 
 
@@ -98,7 +95,7 @@ def test_lie_rep_constructor_validates():
     assert R.rho[2] == Matrix.diagonal([sc(1), sc(-1)])
     broken = list(std_matrices(1))
     broken[0] = broken[0] + Matrix.from_rows([[1, 0], [0, 0]])
-    with pytest.raises(AxiomFailure):
+    with pytest.raises(Refuted, match="^bracket_action "):
         LieRep(sl2(), 2, tuple(broken))
 
 
@@ -181,14 +178,19 @@ def test_identity_beta_round_trip():
 def test_lie_rep_from_hom_requires_invertible_beta():
     R = twisted_module(1)
     squashed = HomRep(R.algebra, 2, R.rho_beta, Matrix.zero(2, 2))
-    with pytest.raises(Singular):
+    with pytest.raises(Refuted, match="^invertibility "):
         lie_rep_from_hom(squashed)
 
 
 def test_hom_rep_from_lie_rejects_identity_beta_under_twist():
-    with pytest.raises(CompatibilityFailure) as exc:
+    with pytest.raises(Refuted) as exc:
         hom_rep_from_lie(std_rep(1), diag_twist(), Matrix.identity(2))
-    assert exc.value.witness == {"element": "e"}
+    failing = exc.value.report.first_failure()
+    assert failing.name == "twist_compatibility"
+    assert failing.witness == {
+        "message": "beta does not intertwine the action with the twist",
+        "element": "e",
+    }
 
 
 # --- intertwiners ------------------------------------------------------------
@@ -241,7 +243,7 @@ def test_pick_invertible_first_basis_element():
 
 def test_pick_invertible_failure():
     nilpotent_line = Subspace(4, [vec(Matrix.from_rows([[0, 1], [0, 0]]))])
-    with pytest.raises(NoInvertibleSolution):
+    with pytest.raises(Refuted, match="^invertible_intertwiner "):
         pick_invertible(nilpotent_line, 2)
 
 
@@ -296,9 +298,9 @@ def test_tensor_rejects_bad_inputs():
     sigma = diag_twist()
     construction = cyclic_sum_construction(sl2(), sigma, 2)
     good = stage_map(1, sigma)
-    with pytest.raises(CompatibilityFailure):
+    with pytest.raises(Refuted, match="^twist_compatibility "):
         tensor_hom_rep([std_rep(1), std_rep(1)], [good, Matrix.identity(2)], construction)
-    with pytest.raises(Singular):
+    with pytest.raises(Refuted, match="^invertibility "):
         tensor_hom_rep([std_rep(1), std_rep(1)], [good, Matrix.zero(2, 2)], construction)
     with pytest.raises(ShapeMismatch):
         tensor_hom_rep([std_rep(1)], [good], construction)

@@ -10,6 +10,7 @@ from homlie.rep import (
     tensor_hom_rep,
     verify_hom_rep,
 )
+from homlie.report import Refuted
 from homlie.scalar import L, ONE, ZERO, sc
 from homlie.sl2 import (
     diagonal_twist_hom_sl2,
@@ -21,9 +22,6 @@ from homlie.sl2 import (
 )
 from homlie.weights import (
     CartanData,
-    Incomplete,
-    NotASubalgebra,
-    NotCommuting,
     RootDecomposition,
     WeightDecomposition,
     classify_weight_module,
@@ -84,12 +82,12 @@ def test_abelian_algebra_is_all_zero_part():
 
 
 def test_missing_candidates_fail_loudly():
-    with pytest.raises(Incomplete):
+    with pytest.raises(Refuted, match="^decomposition_complete "):
         root_decomposition(h_cartan(sl2_lie_algebra(), 2), candidates=[2])
 
 
 def test_non_commuting_h_basis_rejected():
-    with pytest.raises(NotCommuting):
+    with pytest.raises(Refuted, match="^cartan_commutes "):
         root_decomposition(h_cartan(sl2_lie_algebra(), 0, 2))
     with pytest.raises(ShapeMismatch):
         root_decomposition(CartanData(sl2_lie_algebra(), span(2, e_(2, 0))))
@@ -160,7 +158,7 @@ def test_trivial_rep_single_zero_weight():
 
 def test_weight_candidates_must_cover():
     R = sl2_standard_rep(2)
-    with pytest.raises(Incomplete):
+    with pytest.raises(Refuted, match="^decomposition_complete "):
         weight_decomposition(R, h_cartan(R.algebra, 2), candidates=[2, 0])
 
 
@@ -170,7 +168,7 @@ def test_irrational_spectrum_is_incomplete_not_truncated():
     from homlie.rep import LieRep
 
     R = LieRep(A, 2, (R_matrix,))
-    with pytest.raises(Incomplete):
+    with pytest.raises(Refuted, match="^decomposition_complete "):
         weight_decomposition(R, h_cartan(A, 0))
 
 
@@ -275,5 +273,5 @@ def test_highest_weight_beta_image_in_twisted_module():
 
 def test_positive_part_must_be_a_subalgebra():
     R = sl2_standard_rep(1)
-    with pytest.raises(NotASubalgebra):
+    with pytest.raises(Refuted, match="^positive_part_closed "):
         highest_weight_vector_check(R, span(3, e_(3, 0), e_(3, 1)), e_(2, 0))
