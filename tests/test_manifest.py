@@ -9,7 +9,11 @@ cli-corpus commands, the 176 family-windows commands, whose sl2 tables
 and solver runs carry large powers of ``L`` and rational-function
 parameters such as ``(L+1)/(L-2)``, and the 160 module-solves commands,
 whose intertwiner, weight, tensor, decomposition and Killing reports rest
-on exact elimination.  The generated inputs and a copy of the corpus
+on exact elimination.  Two narrower replays name the slices that most
+often break on their own: the module-solves ``rep tensor`` and
+``decompose`` variants, which run the worklist closures and the per-power
+module actions, and the family-windows variants with rational-function
+parameters, whose normal forms rest on the heuristic gcd.  The generated inputs and a copy of the corpus
 snapshot are written under ``tmp_path``; the checkout is only read.
 """
 
@@ -84,3 +88,30 @@ def test_module_solves_reports_match_the_manifest(
 ):
     args = workloads, manifest, tmp_path, monkeypatch, capsys
     assert replay_pool("module-solves", *args) == (160, [])
+
+
+def test_module_solves_tensor_and_decompose_variants_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["module-solves"]
+    commands = {
+        c.text: c for c in workloads.pool("module-solves")
+        if c.argv[0] == "decompose" or c.argv[:2] == ("rep", "tensor")
+    }
+    assert len(commands) == 52 and {c.key[-2:] for c in commands.values()} == {
+        "v0", "v1", "v2", "v3"
+    }
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
+
+
+def test_family_windows_rational_function_variants_match_the_manifest(
+    workloads, manifest, tmp_path, monkeypatch, capsys
+):
+    expected = manifest["family-windows"]
+    commands = {
+        c.text: c for c in workloads.pool("family-windows")
+        if any("(" in arg for arg in c.argv)
+    }
+    slots = {int(c.key[2:-2]) for c in commands.values()}
+    assert len(commands) == 64 and slots == {19, *range(25, 37), 41, 42, 43}
+    assert replay(workloads, commands, expected, tmp_path, monkeypatch, capsys) == []
